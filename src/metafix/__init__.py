@@ -1,6 +1,5 @@
 """Exact fixed-point analysis for IA-endomorphisms of free metabelian groups."""
 
-from ._backend import backend_name
 from .braid import (
     BraidWord,
     alexander_vanishes,
@@ -33,7 +32,6 @@ __all__ = [
     "Word",
     "WordError",
     "alexander_vanishes",
-    "backend_name",
     "braid_automorphism",
     "cramer_solve",
     "fixed_point_in_commutator",

@@ -25,13 +25,14 @@ of the Laurent ring (elsewhere often written t_1..t_n).
 from __future__ import annotations
 
 from .endo import Endomorphism
+from .errors import InvariantError
 from .fox import jacobian
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
 from .words import Word, WordError
 
 
-class GassnerConventionError(RuntimeError):
+class GassnerConventionError(InvariantError, RuntimeError):
     """The reduced-matrix construction met a structural violation."""
 
 
@@ -159,8 +160,11 @@ def braid_automorphism(b):
 
 
 def gassner(b):
-    """Unreduced matrix of the braid: the Jacobian of its automorphism."""
-    return jacobian(braid_automorphism(b))
+    """Unreduced matrix of the braid: the Jacobian of its automorphism.
+
+    Accepts the braid word or its automorphism, when already built.
+    """
+    return jacobian(braid_automorphism(b) if isinstance(b, BraidWord) else b)
 
 
 def _fixed_column(n):

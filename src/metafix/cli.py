@@ -15,21 +15,10 @@ import sys
 import time
 
 from . import selfcheck
-from ._backend import backend_name
-from .braid import (
-    GassnerConventionError,
-    alexander_vanishes,
-    braid_automorphism,
-    gassner,
-    gassner_reduced,
-    parse_braid,
-)
+from .braid import braid_automorphism, gassner, gassner_reduced, parse_braid
 from .endo import parse_endomorphism
-from .fixpoint import (
-    InternalCheckError,
-    fixed_point_in_commutator,
-    search_fixed,
-)
+from .errors import InvariantError
+from .fixpoint import fixed_point_in_commutator, search_fixed
 from .fox import jacobian, word_coords
 from .laurent import poly_to_text
 from .magnus import is_trivial
@@ -88,10 +77,17 @@ def _pretty(d, indent=0):
             print(f"{pad}{k}: {v}")
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def cmd_analyze(args):
+    if args.bound < 0:
+        print(f"error: --bound must be nonnegative, got {args.bound}", file=sys.stderr)
+        return 2
     try:
-        text = open(args.file).read()
-        phi = parse_endomorphism(text)
+        phi = parse_endomorphism(_read(args.file))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -132,7 +128,7 @@ def cmd_braid(args):
     start = time.perf_counter()
     phi = braid_automorphism(b)
     n = phi.rank
-    unreduced = gassner(b)
+    unreduced = gassner(phi)
     reduced = gassner_reduced(unreduced)
     jmi = unreduced - LaurentMatrix.identity(n, n)
     vanishes = (
@@ -171,7 +167,7 @@ def cmd_braid(args):
 
 def cmd_verify(args):
     try:
-        phi = parse_endomorphism(open(args.file).read())
+        phi = parse_endomorphism(_read(args.file))
         g = parse_word(args.word, phi.rank)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -201,7 +197,7 @@ def build_parser():
         prog="metafix",
         description=(
             "Exact fixed-point analysis for IA-endomorphisms of free "
-            f"metabelian groups (term backend: {backend_name()})"
+            "metabelian groups"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -237,7 +233,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GassnerConventionError, InternalCheckError) as e:
+    except WordError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
 

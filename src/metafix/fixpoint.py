@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+from .errors import InvariantError
 from .fox import jacobian, word_coords
 from .laurent import LaurentPoly
 from .magnus import (
@@ -48,7 +49,7 @@ from .matrices import LaurentMatrix, cramer_solve
 from .words import Word
 
 
-class InternalCheckError(RuntimeError):
+class InternalCheckError(InvariantError, RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
 
 

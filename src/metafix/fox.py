@@ -11,15 +11,13 @@ and for words u, v:  d_i(uv) = d_i(u) + u^a d_i(v).
 
 from __future__ import annotations
 
-from ._backend import termops
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, word_pass
 from .matrices import LaurentMatrix
 
 
 def word_coords(w):
     """All abelianized derivatives of a word, as a list of polynomials."""
-    _, maps = termops.word_coords(w.letters, w.rank)
-    return [LaurentPoly._raw(w.rank, m) for m in maps]
+    return word_pass(w.letters, w.rank)
 
 
 def fox_derivative(w, i):

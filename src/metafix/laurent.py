@@ -1,7 +1,7 @@
 """Exact arithmetic in rings of integer Laurent polynomials.
 
-A polynomial in n commuting variables x1..xn is a finite map from exponent
-tuples (length n, entries possibly negative) to nonzero integer
+A polynomial in n commuting variables x1..xn is a finite map from
+monomials x^e (exponents possibly negative) to nonzero integer
 coefficients; the zero polynomial is the empty map.  Coefficients are
 arbitrary-precision integers throughout, so every identity tested by this
 package is exact.
@@ -15,6 +15,21 @@ Conventions fixed here and relied on elsewhere:
 * divisibility is decided by single-divisor long division: integer
   quotient steps are forced whenever the quotient exists in the ring, so
   any failing step certifies non-divisibility.
+
+Monomial keys.  This module alone knows how a monomial is stored: the
+exponent vector e is packed into one int (Kronecker substitution with a
+leading total-degree field; Monagan & Pearce, CASC 2007).  From the most
+significant end the fields hold deg = e1 + ... + en, then e1, ..., en;
+each field is _W bits wide and stores its value plus the offset _H, so a
+valid field lies in [0, 2 _H) and its top bit, the guard bit, is clear.
+Integer order of keys is then graded-lex order of monomials, the product
+of monomials is `ka + kb - origin`, and a field that leaves [-_H, _H)
+sets its guard bit.  Products and shifts check the guard bits of their
+result keys, the word pass bounds its partial sums by the word length,
+and division stays within the range of the dividend, so an overflow
+raises `ExponentOverflowError` and never aliases two monomials.
+Everything that takes or returns exponents outside this module uses
+tuples.
 """
 
 from __future__ import annotations
@@ -22,44 +37,204 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 
-from ._backend import termops
+from .errors import InvariantError
+
+# Field width in bits, guard bit included.  Exponents and total degrees
+# must lie in [-_H, _H) = [-2^22, 2^22).  words.MAX_LETTERS (2^20) caps
+# the words that powers build, which bounds the partial exponent sums the
+# word pass packs, with room left for products of a few such polynomials.
+_W = 24
+_H = 1 << (_W - 2)
+_MASK = (1 << _W) - 1
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class ExponentOverflowError(InvariantError, OverflowError):
+    """An exponent or total degree left the packed field range."""
 
 
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+_OUT_OF_RANGE = f"monomial exponent or degree outside [-{_H}, {_H})"
 
 
-def grlex_key(mono):
-    return (sum(mono), mono)
+@lru_cache(maxsize=None)
+def _origin(n):
+    """Key of the monomial 1 in n variables: every field at its offset.
+    Doubled it masks the guard bits."""
+    return _H * ((1 << _W * (n + 1)) - 1) // ((1 << _W) - 1)
+
+
+def _pack(expts, n):
+    """Key of the exponent tuple `expts` in n variables."""
+    if len(expts) != n:
+        raise ValueError("exponent tuple of wrong length")
+    key = 0
+    for e in expts:
+        if not -_H <= e < _H:
+            raise ExponentOverflowError(_OUT_OF_RANGE)
+        key = (key << _W) | (e + _H)
+    deg = sum(expts)
+    if not -_H <= deg < _H:
+        raise ExponentOverflowError(_OUT_OF_RANGE)
+    return ((deg + _H) << (_W * n)) | key
+
+
+def _unpack(key, n):
+    """Exponent tuple of a key in n variables."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = (key & _MASK) - _H
+        key >>= _W
+    return tuple(out)
+
+
+def _check(keys, n):
+    """Raise if any key has a guard bit set (or went negative)."""
+    if reduce(or_, keys, 0) & (_origin(n) << 1):
+        raise ExponentOverflowError(_OUT_OF_RANGE)
+
+
+# -- term maps: dicts from keys to nonzero ints ---------------------------
+
+
+def _add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        c = out.get(k)
+        if c is None:
+            out[k] = v
+        else:
+            c = c + v
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+def _sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        c = out.get(k)
+        if c is None:
+            out[k] = -v
+        else:
+            c = c - v
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+def _scale(a, c):
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
+
+
+def _mul_term(a, shift, coeff, n):
+    """Multiply by coeff * x^m, where shift = key(m) - origin."""
+    if not coeff:
+        return {}
+    out = {k + shift: v * coeff for k, v in a.items()}
+    _check(out, n)
+    return out
+
+
+def _mul(a, b, n):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    origin = _origin(n)
+    if len(a) == 1:
+        for k, v in a.items():
+            return _mul_term(b, k - origin, v, n)
+    out = {}
+    get = out.get
+    b_items = list(b.items())
+    for ka, va in a.items():
+        ka -= origin
+        for kb, vb in b_items:
+            key = ka + kb
+            c = get(key)
+            if c is None:
+                out[key] = va * vb
+            else:
+                c = c + va * vb
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+    # Each key is a single sum of two valid keys, whose fields stay within
+    # a range narrower than 2^_W, so distinct monomials never share a key
+    # and checking the surviving keys once suffices.
+    _check(out, n)
+    return out
+
+
+def word_pass(letters, n):
+    """One left-to-right pass computing all abelianized derivatives.
+
+    `letters` is a sequence of signed 1-based generator indices.  Returns
+    the list of the n derivative polynomials.  The running abelianization
+    of the prefix is one key, moved by the generator's key step per letter.
+    """
+    # Partial exponent sums and degrees never exceed the word length.
+    if len(letters) >= _H:
+        raise ExponentOverflowError(_OUT_OF_RANGE)
+    acc = _origin(n)
+    deg_step = 1 << (_W * n)
+    steps = [deg_step + (1 << (_W * (n - 1 - i))) for i in range(n)]
+    coords = [{} for _ in range(n)]
+    for L in letters:
+        if L > 0:
+            i = L - 1
+            d = coords[i]
+            c = d.get(acc, 0) + 1
+            if c:
+                d[acc] = c
+            else:
+                del d[acc]
+            acc += steps[i]
+        else:
+            i = -L - 1
+            acc -= steps[i]
+            d = coords[i]
+            c = d.get(acc, 0) - 1
+            if c:
+                d[acc] = c
+            else:
+                del d[acc]
+    return [LaurentPoly._raw(n, d) for d in coords]
 
 
 class LaurentPoly:
-    """Immutable integer Laurent polynomial in a fixed number of variables."""
+    """Immutable integer Laurent polynomial in a fixed number of variables.
+
+    `terms` maps packed monomial keys to nonzero coefficients; use
+    `exponent_terms` for the map keyed by exponent tuples.
+    """
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars, terms=None):
+        """Build from a map of exponent tuples to integer coefficients."""
         clean = {}
         if terms:
             for m, c in terms.items():
                 if c:
-                    m = tuple(m)
-                    if len(m) != nvars:
-                        raise ValueError("exponent tuple of wrong length")
-                    clean[m] = c
+                    clean[_pack(tuple(m), nvars)] = c
         self.nvars = nvars
         self.terms = clean
         self._hash = None
 
     @classmethod
     def _raw(cls, nvars, terms):
-        # terms must already be clean (no zero coefficients, right arity)
+        # terms must already be clean (no zero coefficients, valid keys)
         self = object.__new__(cls)
         self.nvars = nvars
         self.terms = terms
@@ -74,7 +249,7 @@ class LaurentPoly:
     def constant(cls, c, nvars):
         if not c:
             return cls._raw(nvars, {})
-        return cls._raw(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {_origin(nvars): c})
 
     @classmethod
     def one(cls, nvars):
@@ -84,10 +259,7 @@ class LaurentPoly:
     def monomial(cls, expts, nvars, coeff=1):
         if not coeff:
             return cls._raw(nvars, {})
-        expts = tuple(expts)
-        if len(expts) != nvars:
-            raise ValueError("exponent tuple of wrong length")
-        return cls._raw(nvars, {expts: coeff})
+        return cls._raw(nvars, {_pack(tuple(expts), nvars): coeff})
 
     @classmethod
     def variable(cls, i, nvars, power=1):
@@ -96,7 +268,12 @@ class LaurentPoly:
             raise ValueError(f"variable index {i} out of range")
         e = [0] * nvars
         e[i] = power
-        return cls._raw(nvars, {tuple(e): 1})
+        return cls._raw(nvars, {_pack(e, nvars): 1})
+
+    def exponent_terms(self):
+        """The terms as a map from exponent tuples to coefficients."""
+        n = self.nvars
+        return {_unpack(k, n): c for k, c in self.terms.items()}
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -111,7 +288,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, termops.tm_add(self.terms, other.terms))
+        return LaurentPoly._raw(self.nvars, _add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -119,24 +296,24 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, termops.tm_sub(self.terms, other.terms))
+        return LaurentPoly._raw(self.nvars, _sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, termops.tm_sub(other.terms, self.terms))
+        return LaurentPoly._raw(self.nvars, _sub(other.terms, self.terms))
 
     def __neg__(self):
-        return LaurentPoly._raw(self.nvars, termops.tm_neg(self.terms))
+        return LaurentPoly._raw(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly._raw(self.nvars, termops.tm_scale(self.terms, other))
+            return LaurentPoly._raw(self.nvars, _scale(self.terms, other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, termops.tm_mul(self.terms, other.terms))
+        return LaurentPoly._raw(self.nvars, _mul(self.terms, other.terms, self.nvars))
 
     __rmul__ = __mul__
 
@@ -167,13 +344,13 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return self.terms == {_origin(self.nvars): 1}
 
     def __eq__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return not self.terms
-            return self.terms == {(0,) * self.nvars: other}
+            return self.terms == {_origin(self.nvars): other}
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
@@ -187,17 +364,17 @@ class LaurentPoly:
         """Return (coeff, mono) if the polynomial is +-x^m, else None."""
         if len(self.terms) != 1:
             return None
-        ((m, c),) = self.terms.items()
+        ((k, c),) = self.terms.items()
         if c == 1 or c == -1:
-            return c, m
+            return c, _unpack(k, self.nvars)
         return None
 
     def leading(self):
         """Leading (mono, coeff) in graded lex order; None for zero."""
         if not self.terms:
             return None
-        m = max(self.terms, key=grlex_key)
-        return m, self.terms[m]
+        k = max(self.terms)
+        return _unpack(k, self.nvars), self.terms[k]
 
     def content(self):
         """gcd of the coefficients; 0 for the zero polynomial."""
@@ -209,7 +386,7 @@ class LaurentPoly:
         return g
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(_origin(self.nvars), 0)
 
     def eval(self, point):
         """Exact value at a point with nonzero rational coordinates."""
@@ -220,9 +397,9 @@ class LaurentPoly:
             if p == 0:
                 raise ValueError("evaluation point has a zero coordinate")
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for k, c in self.terms.items():
             v = Fraction(c)
-            for p, e in zip(pt, m):
+            for p, e in zip(pt, _unpack(k, self.nvars)):
                 if e:
                     v *= p**e
             total += v
@@ -230,16 +407,44 @@ class LaurentPoly:
 
     def subs_one(self, i):
         """Substitute x_{i+1} = 1 (variable count is preserved)."""
+        n = self.nvars
+        pos = _W * (n - 1 - i)
+        deg_pos = _W * n
         out = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                m = m[:i] + (0,) + m[i + 1 :]
-            cur = out.get(m, 0) + c
+        for k, c in self.terms.items():
+            e = ((k >> pos) & _MASK) - _H
+            if e:
+                k -= (e << pos) + (e << deg_pos)
+            cur = out.pop(k, 0) + c
             if cur:
-                out[m] = cur
-            elif m in out:
-                del out[m]
-        return LaurentPoly._raw(self.nvars, out)
+                out[k] = cur
+        _check(out, n)
+        return LaurentPoly._raw(n, out)
+
+    def _normal_form(self):
+        """(terms, shift, sign): self = sign * x^-m * terms, where the
+        terms have minimum exponent 0 in every variable and a positive
+        leading coefficient, and shift = origin - key(m)."""
+        terms = self.terms
+        if not terms:
+            raise ValueError("cannot normalize the zero polynomial")
+        n = self.nvars
+        origin = _origin(n)
+        if len(terms) == 1:
+            ((k, c),) = terms.items()
+            return {origin: abs(c)}, origin - k, 1 if c > 0 else -1
+        # the key of the minimum exponents, assembled field by field
+        low = deg = 0
+        for pos in range(0, _W * n, _W):
+            field = min((k >> pos) & _MASK for k in terms)
+            low |= field << pos
+            deg += field - _H
+        if not -_H <= deg < _H:
+            raise ExponentOverflowError(_OUT_OF_RANGE)
+        shift = origin - (((deg + _H) << (_W * n)) | low)
+        sign = 1 if terms[max(terms)] > 0 else -1
+        # graded lex is a monomial order, so the shift keeps the leading term
+        return _mul_term(terms, shift, sign, n), shift, sign
 
     def normalized(self):
         """Factor self = unit * poly with min exponent 0 in every variable.
@@ -247,21 +452,10 @@ class LaurentPoly:
         The unit is a signed monomial chosen so that poly's leading
         coefficient is positive.  Raises on zero input.
         """
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        mins = [None] * self.nvars
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if mins[i] is None or e < mins[i]:
-                    mins[i] = e
-        shift = tuple(-e for e in mins)
-        shifted = {mono_mul(m, shift): c for m, c in self.terms.items()}
-        lead = max(shifted, key=grlex_key)
-        sign = 1 if shifted[lead] > 0 else -1
-        if sign < 0:
-            shifted = {m: -c for m, c in shifted.items()}
-        unit = LaurentPoly.monomial(tuple(mins), self.nvars, sign)
-        return LaurentPoly._raw(self.nvars, shifted), unit
+        terms, shift, sign = self._normal_form()
+        n = self.nvars
+        unit = {_origin(n) - shift: sign}
+        return LaurentPoly._raw(n, terms), LaurentPoly._raw(n, unit)
 
     def divide_exact(self, divisor):
         """Quotient q with self = q * divisor in the ring, or None.
@@ -276,16 +470,13 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return LaurentPoly.zero(self.nvars)
-        gnorm, gunit = self.normalized()
-        fnorm, funit = divisor.normalized()
-        q = _divide_nonneg(gnorm.terms, fnorm.terms)
+        n = self.nvars
+        gterms, gshift, gsign = self._normal_form()
+        fterms, fshift, fsign = divisor._normal_form()
+        q = _divide_nonneg(gterms, fterms, n)
         if q is None:
             return None
-        gc, gm = gunit.as_unit()
-        fc, fm = funit.as_unit()
-        unit_mono = mono_div(gm, fm)
-        out = termops.tm_mul_term(q, unit_mono, gc * fc)
-        return LaurentPoly._raw(self.nvars, out)
+        return LaurentPoly._raw(n, _mul_term(q, fshift - gshift, gsign * fsign, n))
 
     def divides(self, other):
         return other.divide_exact(self) is not None
@@ -297,49 +488,51 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {poly_to_text(self)!r})"
 
 
-def _heap_key(m):
-    return (-sum(m), tuple(-e for e in m))
-
-
-def _divide_nonneg(g, f):
+def _divide_nonneg(g, f, n):
     """Long division of term maps with nonnegative exponents; None if inexact.
 
     The leading monomial of the shrinking remainder is tracked with a
-    lazy-deletion heap instead of a rescan, and the remainder is mutated
-    in place.
+    lazy-deletion heap of negated keys instead of a rescan, and the
+    remainder is mutated in place.  Remainder monomials stay nonnegative
+    with degree at most that of g, so their keys cannot overflow.
     """
-    fl = max(f, key=grlex_key)
+    origin = _origin(n)
+    fl = max(f)
     flc = f[fl]
-    frest = {m: c for m, c in f.items() if m != fl}
+    frest = [(k - origin, c) for k, c in f.items() if k != fl]
     q = {}
     r = dict(g)
-    heap = [_heap_key(m) for m in r]
+    heap = [-k for k in r]
     heapq.heapify(heap)
     push = heapq.heappush
+    pop = heapq.heappop
     while heap:
-        neg_deg, neg_mono = heapq.heappop(heap)
-        rl = tuple(-e for e in neg_mono)
+        rl = -pop(heap)
         rc = r.get(rl)
         if rc is None:
             continue
-        mono = mono_div(rl, fl)
-        if rc % flc or any(e < 0 for e in mono):
+        # The fields of rl - fl + origin lie in (0, 2 _H): no borrows, and
+        # each is at least _H, i.e. has its offset bit, iff that exponent
+        # of the quotient monomial is nonnegative.
+        mono = rl - fl + origin
+        if rc % flc or mono & origin != origin:
             return None
         c = rc // flc
         q[mono] = c
         del r[rl]
-        if frest:
-            for key, cc in termops.tm_mul_term(frest, mono, c).items():
-                cur = r.get(key)
-                if cur is None:
-                    r[key] = -cc
-                    push(heap, _heap_key(key))
+        for k, cc in frest:
+            key = k + mono
+            cc = cc * c
+            cur = r.get(key)
+            if cur is None:
+                r[key] = -cc
+                push(heap, -key)
+            else:
+                cur -= cc
+                if cur:
+                    r[key] = cur
                 else:
-                    cur -= cc
-                    if cur:
-                        r[key] = cur
-                    else:
-                        del r[key]
+                    del r[key]
     if r:
         return None
     return q
@@ -416,15 +609,18 @@ def poly_to_text(p):
     """Canonical textual form: graded-lex descending, explicit '*' and '^'."""
     if not p.terms:
         return "0"
+    n = p.nvars
+    fields = [(f"x{i + 1}", _W * (n - 1 - i)) for i in range(n)]
     parts = []
-    for m in sorted(p.terms, key=grlex_key, reverse=True):
-        c = p.terms[m]
+    for k in sorted(p.terms, reverse=True):
+        c = p.terms[k]
         factors = []
-        for i, e in enumerate(m):
+        for name, pos in fields:
+            e = ((k >> pos) & _MASK) - _H
             if e == 1:
-                factors.append(f"x{i + 1}")
+                factors.append(name)
             elif e:
-                factors.append(f"x{i + 1}^{e}")
+                factors.append(f"{name}^{e}")
         body = "*".join(factors)
         a = abs(c)
         if not body:

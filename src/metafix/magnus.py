@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .fox import word_coords
 from .laurent import LaurentPoly
+from .matrices import ExactDivisionError
 from .words import Word
 
 
@@ -134,8 +135,7 @@ def module_power_word(r, u):
     """
     n = r.rank
     out = Word.identity(n)
-    for m in sorted(u.terms):
-        c = u.terms[m]
+    for m, c in sorted(u.exponent_terms().items()):
         g = coset_word(m, n)
         out = out * (r.conjugated_by(g) ** c)
     return out
@@ -169,7 +169,7 @@ def koszul_decompose(u):
             if not diff.is_zero():
                 h = diff.divide_exact(xj - 1)
                 if h is None:
-                    raise ArithmeticError("peeling division failed")
+                    raise ExactDivisionError("peeling division failed")
                 out[(i, j)] = h
             cur[i] = low
         cur[j] = LaurentPoly.zero(n)

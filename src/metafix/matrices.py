@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import InvariantError
 from .laurent import LaurentPoly
 
 
-class ExactDivisionError(ArithmeticError):
+class ExactDivisionError(InvariantError, ArithmeticError):
     """An elimination step that must divide exactly did not."""
 
 

@@ -7,6 +7,11 @@ convention used everywhere in this package is [a, b] = a^-1 b^-1 a b.
 
 from __future__ import annotations
 
+# The longest word a power may build.  Checked before expanding, so a
+# hostile exponent fails at once; it also keeps the partial exponent sums
+# of such words inside the packed monomial fields of `laurent`.
+MAX_LETTERS = 1 << 20
+
 
 class WordError(ValueError):
     def __init__(self, message, position=None):
@@ -74,13 +79,23 @@ class Word:
         return Word._raw(self.rank, tuple(-L for L in reversed(self.letters)))
 
     def __pow__(self, k):
+        """w^k in linear time: with w = u v u^-1 and v cyclically reduced,
+        w^k = u v^k u^-1 is already freely reduced."""
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        out = Word.identity(self.rank)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        letters = self.letters
+        t = 0
+        while 2 * t + 1 < len(letters) and letters[t] == -letters[-1 - t]:
+            t += 1
+        core = letters[t : len(letters) - t]
+        size = 2 * t + abs(k) * len(core)
+        if size > MAX_LETTERS:
+            raise WordError(f"power of {size} letters exceeds the limit of {MAX_LETTERS}")
+        if k < 0:
+            core = tuple(-L for L in reversed(core))
+        if not k or not core:
+            return Word.identity(self.rank)
+        return Word._raw(self.rank, letters[:t] + core * abs(k) + letters[len(letters) - t :])
 
     def conjugated_by(self, g):
         """g * self * g^-1."""

@@ -1,6 +1,13 @@
 import json
 
+import pytest
+
+from metafix import cli
+from metafix.braid import GassnerConventionError
 from metafix.cli import main
+from metafix.fixpoint import InternalCheckError
+from metafix.laurent import ExponentOverflowError, LaurentPoly
+from metafix.matrices import ExactDivisionError
 from tests.conftest import data_path
 
 
@@ -115,3 +122,47 @@ def test_plain_text_output(capsys):
     code, out, _ = run_cli(capsys, "analyze", data_path("displaced_pair.endo"), "--bound", "1")
     assert code == 0
     assert "rank_defect_class: rank=n-1" in out
+
+
+def test_hostile_power_is_rejected(tmp_path, capsys):
+    f = tmp_path / "hostile.endo"
+    f.write_text("x1 -> x1 ([x1,x2])^100000000\nx2 -> x2\n")
+    code, _, err = run_cli(capsys, "analyze", str(f))
+    assert code == 2 and "exceeds" in err
+
+
+def test_negative_bound_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "analyze", data_path("displaced_pair.endo"), "--bound", "-3")
+    assert code == 2 and "--bound" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "error", [ExactDivisionError, ExponentOverflowError, InternalCheckError, GassnerConventionError]
+)
+def test_invariant_errors_exit_3(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "search_fixed", fail)
+    code, _, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"))
+    assert code == 3 and "internal invariant violation" in err
+
+
+def test_failing_exact_division_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(LaurentPoly, "divide_exact", lambda self, divisor: None)
+    code, _, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"), "--bound", "0")
+    assert code == 3 and "division" in err
+
+
+def test_input_files_are_closed(monkeypatch, capsys):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    run_json(capsys, "analyze", data_path("displaced_pair.endo"), "--json", "--bound", "0")
+    run_json(capsys, "verify", data_path("displaced_pair.endo"), "x1", "--json")
+    assert len(opened) == 2 and all(fh.closed for fh in opened)

@@ -2,8 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from metafix.laurent import LaurentPoly, parse_poly, poly_to_text
+from metafix.errors import InvariantError
+from metafix.laurent import (
+    ExponentOverflowError,
+    LaurentPoly,
+    _H,
+    _pack,
+    _unpack,
+    parse_poly,
+    poly_to_text,
+    word_pass,
+)
 from metafix.samples import random_poly
 
 
@@ -68,7 +80,7 @@ def test_normalize_round_trip():
         assert poly * unit == p
         lead_mono, lead_coeff = poly.leading()
         assert lead_coeff > 0
-        assert all(min(m[i] for m in poly.terms) == 0 for i in range(p.nvars))
+        assert all(min(m[i] for m in poly.exponent_terms()) == 0 for i in range(p.nvars))
 
 
 def test_divide_examples():
@@ -165,3 +177,97 @@ def test_power():
     assert P("x1 + 1") ** 0 == 1
     with pytest.raises(ValueError):
         P("x1 + 1") ** -1
+
+
+# -- the packed kernel against a tuple-keyed reference ----------------------
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out = ref_add(out, {tuple(x + y for x, y in zip(ma, mb)): ca * cb})
+    return out
+
+
+def ref_word_pass(letters, n):
+    acc, coords = [0] * n, [{} for _ in range(n)]
+    for L in letters:
+        i = abs(L) - 1
+        acc[i] -= L < 0
+        coords[i] = ref_add(coords[i], {tuple(acc): 1 if L > 0 else -1})
+        acc[i] += L > 0
+    return coords
+
+
+BIG = 10**40
+ranks = st.integers(1, 4)
+
+
+def term_maps(n):
+    monos = st.tuples(*[st.integers(-6, 6)] * n)
+    return st.dictionaries(monos, st.integers(-BIG, BIG).filter(bool), max_size=8)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(st.just(n), term_maps(n), term_maps(n))))
+@example((2, {(1, 0): BIG, (0, -1): -BIG}, {(1, 0): BIG, (-1, 1): 3}))
+def test_packed_kernel_matches_reference(case):
+    n, a, b = case
+    p, q = LaurentPoly(n, a), LaurentPoly(n, b)
+    assert p.exponent_terms() == a
+    assert (p + q).exponent_terms() == ref_add(a, b)
+    assert (p - q).exponent_terms() == ref_add(a, b, -1)
+    assert (p * q).exponent_terms() == ref_mul(a, b)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-n, n).filter(bool), max_size=60))))
+def test_word_pass_matches_reference(case):
+    n, letters = case
+    assert [p.exponent_terms() for p in word_pass(letters, n)] == ref_word_pass(letters, n)
+
+
+@given(ranks.flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-_H, _H - 1)] * n).filter(lambda e: -_H <= sum(e) < _H),
+    min_size=1, max_size=10)))
+def test_pack_round_trip_and_graded_lex_order(monos):
+    n = len(monos[0])
+    assert all(_unpack(_pack(m, n), n) == m for m in monos)
+    by_key = [_unpack(k, n) for k in sorted(_pack(m, n) for m in set(monos))]
+    assert by_key == sorted(set(monos), key=lambda m: (sum(m), m))
+
+
+def test_field_overflow_raises():
+    x1, x2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
+    top = LaurentPoly.monomial((_H - 1, 0), 2)
+    half = LaurentPoly.monomial((_H // 2, 0), 2)
+    cases = [
+        lambda: top * x1,
+        lambda: (top + 1) * (x1 - 1),
+        lambda: LaurentPoly.monomial((0, -_H), 2) * x2**-1,
+        lambda: half * LaurentPoly.monomial((0, _H // 2), 2),  # only the degree overflows
+        lambda: LaurentPoly.monomial((_H,), 1),
+    ]
+    for case in cases:
+        with pytest.raises(ExponentOverflowError):
+            case()
+    assert issubclass(ExponentOverflowError, InvariantError)
+
+
+def test_word_pass_rejects_words_beyond_the_field_range():
+    class Huge:
+        def __len__(self):
+            return _H
+
+        def __iter__(self):
+            raise AssertionError("the length check must come first")
+
+    with pytest.raises(ExponentOverflowError):
+        word_pass(Huge(), 2)

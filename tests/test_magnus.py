@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from metafix.errors import InvariantError
 from metafix.fox import word_coords
 from metafix.laurent import LaurentPoly, parse_poly
 from metafix.magnus import (
@@ -158,3 +159,10 @@ def test_koszul_decomposition_reassembles():
             rebuilt[i] = rebuilt[i] + c * (LaurentPoly.variable(j, n) - 1)
             rebuilt[j] = rebuilt[j] - c * (LaurentPoly.variable(i, n) - 1)
         assert rebuilt == list(u)
+
+
+def test_failed_peeling_division_is_an_invariant_error(monkeypatch):
+    u = random_module_vector(random.Random(38), 3)
+    monkeypatch.setattr(LaurentPoly, "divide_exact", lambda self, divisor: None)
+    with pytest.raises(InvariantError, match="peeling"):
+        koszul_decompose(u)

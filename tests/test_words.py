@@ -3,7 +3,7 @@ import random
 import pytest
 
 from metafix.samples import random_word
-from metafix.words import Word, WordError, free_reduce, parse_word, word_to_text
+from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word, word_to_text
 
 
 def test_reduce_examples():
@@ -112,3 +112,22 @@ def test_powers():
     assert u**0 == Word.identity(2)
     assert u**3 == parse_word("x1 x2 x1 x2 x1 x2", 2)
     assert u**-2 == (u * u).inverse()
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        w = random_word(rng, n, rng.randrange(12))
+        k = rng.randint(-20, 20)
+        expected = Word.identity(n)
+        for _ in range(abs(k)):
+            expected = expected * (w if k > 0 else w.inverse())
+        assert w**k == expected
+
+
+def test_power_over_the_letter_cap_is_rejected():
+    w = parse_word("x3 [x1,x2] x3^-1", 3)  # 4-letter core, conjugator counted twice
+    with pytest.raises(WordError):
+        w ** (MAX_LETTERS // 4)
+    with pytest.raises(WordError):
+        w ** -(MAX_LETTERS // 4)
+    with pytest.raises(WordError):
+        parse_word("([x1,x2])^100000000", 2)
