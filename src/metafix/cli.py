@@ -82,6 +82,11 @@ def _read(path):
         return fh.read()
 
 
+# The largest coset box `analyze` accepts; the box of --bound b on n
+# generators holds (2b+1)^n - 1 cosets, each one solved in turn.
+MAX_COSETS = 1 << 16
+
+
 def cmd_analyze(args):
     if args.bound < 0:
         print(f"error: --bound must be nonnegative, got {args.bound}", file=sys.stderr)
@@ -94,8 +99,17 @@ def cmd_analyze(args):
     except (WordError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    start = time.perf_counter()
     n = phi.rank
+    # with a bound >= 1, MAX_COSETS.bit_length() generators already exceed
+    # the limit, so n is clipped there and the power stays small
+    if (2 * args.bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:
+        print(
+            f"error: --bound {args.bound} on {n} generators gives more than "
+            f"{MAX_COSETS} cosets",
+            file=sys.stderr,
+        )
+        return 2
+    start = time.perf_counter()
     j = jacobian(phi)
     jmi = j - LaurentMatrix.identity(n, n)
     report = {
@@ -112,7 +126,7 @@ def cmd_analyze(args):
         "braid": None,
     }
     if phi.is_ia():
-        fix = search_fixed(phi, args.bound, verify=not args.no_verify)
+        fix = search_fixed(phi, args.bound, verify=not args.no_verify, jmi=jmi)
         report["fix"] = _fix_json(fix)
     report["timing"] = round(time.perf_counter() - start, 6)
     _emit(report, args.json)

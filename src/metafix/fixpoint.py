@@ -26,8 +26,12 @@ coordinate vector u; the condition becomes the inhomogeneous system
 together with the membership constraint sum u_i (x_i - 1) = 0.  The solver
 resolves a maximal nonsingular square subsystem by Cramer's rule with
 exact-divisibility checks; underdetermined shapes are decided when the
-undetermined coordinates touch only the membership row, and are reported
-as undecided otherwise.
+undetermined coordinates touch only the membership row.  Otherwise the
+route is "rank_deficient": a coset is "none" when its right-hand side
+lies outside the column space of the stacked matrix, which one of the
+bordered-minor forms of that matrix detects by not vanishing on it (then
+there is no solution even over the fraction field), and "undecided" when
+every form vanishes.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .magnus import (
     module_power_word,
     realize_coords,
 )
-from .matrices import LaurentMatrix, cramer_solve
+from .matrices import LaurentMatrix, cramer_solve, dot
 from .words import Word
 
 
@@ -137,17 +141,21 @@ class CosetOutcome:
 class CosetSolver:
     """Per-endomorphism context for coset searches.
 
-    The Jacobian block and the structural decision (which route decides
-    the system) are shared across cosets; only the right-hand side depends
-    on the coset.
+    The matrix of every coset's system is the same; only the right-hand
+    side depends on the coset.  So the constructor does all the linear
+    algebra: it chooses the route, and prepares the determinant and the
+    adjugate of the square subsystem (routes "unique" and "decoupled") or
+    the column-space forms of the stacked matrix (route
+    "rank_deficient").  A query then costs a few dot products and at most
+    n exact divisions.  `jmi` may pass a precomputed J - I.
     """
 
-    def __init__(self, phi):
+    def __init__(self, phi, jmi=None):
         _require_ia(phi)
         self.phi = phi
         self.n = n = phi.rank
-        self.J = jacobian(phi)
-        jmi = self.J - LaurentMatrix.identity(n, n)
+        if jmi is None:
+            jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
         self.G = jmi.transpose()
         self.membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
         self.stacked = LaurentMatrix(n, self.G.entries + [self.membership])
@@ -157,8 +165,12 @@ class CosetSolver:
             if all(self.G.entries[j][i].is_zero() for j in range(n))
         ]
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
-        self.sub_det = None
+        self.sub = self.forms = None
         self.mode, self.sub_rows = self._choose_route()
+        if self.sub is not None:
+            self.sub.adjugate()
+        elif self.mode == "rank_deficient":
+            self.forms = self.stacked.column_space_forms()
 
     def _choose_route(self):
         n = self.n
@@ -167,9 +179,8 @@ class CosetSolver:
             for drop in range(n, -1, -1):
                 rows = [r for r in range(n + 1) if r != drop]
                 sub = self.stacked.submatrix(rows, list(range(n)))
-                d = sub.det()
-                if not d.is_zero():
-                    self.sub_det = d
+                if not sub.det().is_zero():
+                    self.sub = sub
                     return "unique", rows
             raise InternalCheckError("full-rank system with no nonsingular subsystem")
         p = self.pivot_cols
@@ -178,7 +189,7 @@ class CosetSolver:
             rank, prows, _ = gp.echelon_pivots()
             if rank == len(p):
                 rows = sorted(prows)
-                self.sub_det = self.G.submatrix(rows, p).det()
+                self.sub = self.G.submatrix(rows, p)
                 return "decoupled", rows
         if not p:
             return "decoupled", []
@@ -220,8 +231,7 @@ class CosetSolver:
 
     def _solve_unique(self, a, wa, rhs, verify):
         tau = self._tau(rhs)
-        sub = self.stacked.submatrix(self.sub_rows, list(range(self.n)))
-        res = cramer_solve(sub, [tau[r] for r in self.sub_rows], det=self.sub_det)
+        res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
         if res.status == "singular":
             raise InternalCheckError("chosen subsystem became singular")
         if res.status == "no_solution_in_ring":
@@ -237,8 +247,7 @@ class CosetSolver:
         p = self.pivot_cols
         u = [LaurentPoly.zero(n)] * n
         if p:
-            gp = self.G.submatrix(self.sub_rows, p)
-            res = cramer_solve(gp, [rhs[r] for r in self.sub_rows], det=self.sub_det)
+            res = cramer_solve(self.sub, [rhs[r] for r in self.sub_rows])
             if res.status == "singular":
                 raise InternalCheckError("decoupled subsystem became singular")
             if res.status == "no_solution_in_ring":
@@ -265,13 +274,13 @@ class CosetSolver:
         return self._finish(a, wa, u, verify)
 
     def _solve_rank_deficient(self, a, rhs):
+        # tau lies in the column space of the stacked matrix iff every
+        # bordered form vanishes on it; if not, no u solves even over the
+        # fraction field
         tau = self._tau(rhs)
-        augmented = LaurentMatrix(
-            self.n,
-            [row + [t] for row, t in zip(self.stacked.entries, tau)],
-        )
-        if augmented.rank() > self.stacked.rank():
-            return CosetOutcome(a, "none")
+        for form in self.forms:
+            if not dot(form, tau, self.n).is_zero():
+                return CosetOutcome(a, "none")
         return CosetOutcome(a, "undecided")
 
 
@@ -333,11 +342,15 @@ def coset_box(n, bound):
     ]
 
 
-def search_fixed(phi, bound, verify=True):
-    """Run the commutator-subgroup detector plus every coset in the box."""
+def search_fixed(phi, bound, verify=True, jmi=None):
+    """Run the commutator-subgroup detector plus every coset in the box.
+
+    `jmi` may pass a precomputed J - I; its determinant and rank are kept
+    on the matrix, so a caller that reports them computes them once."""
     _require_ia(phi)
     n = phi.rank
-    jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+    if jmi is None:
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
     report = FixReport(
         rank=n,
         ia=True,
@@ -348,7 +361,7 @@ def search_fixed(phi, bound, verify=True):
     if witness is not None:
         report.witness_in_commutator = witness
         report.witness_verified = verify
-    solver = CosetSolver(phi)
+    solver = CosetSolver(phi, jmi)
     for a in coset_box(n, bound):
         report.cosets.append(solver.solve(a, verify=verify))
     return report

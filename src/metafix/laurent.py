@@ -216,10 +216,12 @@ class LaurentPoly:
     """Immutable integer Laurent polynomial in a fixed number of variables.
 
     `terms` maps packed monomial keys to nonzero coefficients; use
-    `exponent_terms` for the map keyed by exponent tuples.
+    `exponent_terms` for the map keyed by exponent tuples.  The normal
+    form is kept once the polynomial has served as a divisor: one
+    determinant or pivot divides many entries in a row.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_divisor_form")
 
     def __init__(self, nvars, terms=None):
         """Build from a map of exponent tuples to integer coefficients."""
@@ -231,6 +233,7 @@ class LaurentPoly:
         self.nvars = nvars
         self.terms = clean
         self._hash = None
+        self._divisor_form = None
 
     @classmethod
     def _raw(cls, nvars, terms):
@@ -239,6 +242,7 @@ class LaurentPoly:
         self.nvars = nvars
         self.terms = terms
         self._hash = None
+        self._divisor_form = None
         return self
 
     @classmethod
@@ -472,7 +476,9 @@ class LaurentPoly:
             return LaurentPoly.zero(self.nvars)
         n = self.nvars
         gterms, gshift, gsign = self._normal_form()
-        fterms, fshift, fsign = divisor._normal_form()
+        if divisor._divisor_form is None:
+            divisor._divisor_form = divisor._normal_form()
+        fterms, fshift, fsign = divisor._divisor_form
         q = _divide_nonneg(gterms, fterms, n)
         if q is None:
             return None

@@ -18,10 +18,22 @@ class ExactDivisionError(InvariantError, ArithmeticError):
     """An elimination step that must divide exactly did not."""
 
 
+class SingularMinorError(InvariantError, ArithmeticError):
+    """A pivot block found by elimination has a zero determinant."""
+
+
 class LaurentMatrix:
-    __slots__ = ("rows", "cols", "nvars", "entries")
+    """A matrix over the Laurent ring in `nvars` variables.
+
+    Nothing writes `entries` after `__init__`, so the determinant, the
+    adjugate and the elimination pivots are computed at most once per
+    instance and kept in the private slots.
+    """
+
+    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_adj", "_pivots")
 
     def __init__(self, nvars, entries):
+        self._det = self._adj = self._pivots = None
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -90,17 +102,11 @@ class LaurentMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        z = LaurentPoly.zero(self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.nvars, out)
+        cols = [[row[j] for row in other.entries] for j in range(other.cols)]
+        return LaurentMatrix(
+            self.nvars,
+            [[dot(row, col, self.nvars) for col in cols] for row in self.entries],
+        )
 
     def transpose(self):
         return LaurentMatrix(
@@ -116,27 +122,16 @@ class LaurentMatrix:
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        z = LaurentPoly.zero(self.nvars)
-        out = []
-        for i in range(self.rows):
-            acc = z
-            for j in range(self.cols):
-                acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
-        return out
+        return [dot(row, vec, self.nvars) for row in self.entries]
 
     def vec_mul(self, vec):
         """Row vector times matrix."""
         if len(vec) != self.rows:
             raise ValueError("vector length mismatch")
-        z = LaurentPoly.zero(self.nvars)
-        out = []
-        for j in range(self.cols):
-            acc = z
-            for i in range(self.rows):
-                acc = acc + vec[i] * self.entries[i][j]
-            out.append(acc)
-        return out
+        return [
+            dot(vec, [row[j] for row in self.entries], self.nvars)
+            for j in range(self.cols)
+        ]
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -144,11 +139,29 @@ class LaurentMatrix:
     # -- determinant ---------------------------------------------------
 
     def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.rows <= 4:
-            return self.det_cofactor()
-        return self.det_bareiss()
+        if self._det is None:
+            if self.rows != self.cols:
+                raise ValueError("determinant of a non-square matrix")
+            self._det = self.det_cofactor() if self.rows <= 4 else self.det_bareiss()
+        return self._det
+
+    def adjugate(self):
+        """The adjugate as tuples: adj[k][i] = (-1)^(i+k) times the minor of
+        m without row i and column k, so that m * adj = det(m) * I."""
+        if self._adj is None:
+            if self.rows != self.cols:
+                raise ValueError("adjugate of a non-square matrix")
+            n = self.rows
+            others = [[j for j in range(n) if j != i] for i in range(n)]
+            adj = []
+            for k in range(n):
+                row = []
+                for i in range(n):
+                    minor = self.submatrix(others[i], others[k]).det()
+                    row.append(-minor if (i + k) % 2 else minor)
+                adj.append(tuple(row))
+            self._adj = tuple(adj)
+        return self._adj
 
     def det_cofactor(self):
         if self.rows != self.cols:
@@ -191,7 +204,12 @@ class LaurentMatrix:
 
     def echelon_pivots(self):
         """Fraction-free elimination; returns (rank, pivot_rows, pivot_cols)
-        as indices into the original matrix."""
+        as indices into the original matrix, the indices as tuples."""
+        if self._pivots is None:
+            self._pivots = self._eliminate()
+        return self._pivots
+
+    def _eliminate(self):
         a = [row[:] for row in self.entries]
         rows, cols = self.rows, self.cols
         row_idx = list(range(rows))
@@ -220,10 +238,41 @@ class LaurentMatrix:
                 a[i][k] = LaurentPoly.zero(self.nvars)
             prev = a[k][k]
             k += 1
-        return k, row_idx[:k], col_idx[:k]
+        return k, tuple(row_idx[:k]), tuple(col_idx[:k])
 
     def rank(self):
         return self.echelon_pivots()[0]
+
+    def column_space_forms(self):
+        """Linear forms in b, one per non-pivot row, that all vanish exactly
+        when b lies in the column space over the fraction field.
+
+        With pivot rows R and columns C from `echelon_pivots`, the form of
+        row i is the cofactor expansion along b of the bordered minor
+        det [[m[R,C], b_R], [m[i,C], b_i]], which equals
+        det m[R,C] * (b_i - m[i,C] m[R,C]^-1 b_R) (Kronecker's
+        bordered-minor rank criterion).  Each form is a tuple of `rows`
+        coefficients.
+        """
+        r, prows, pcols = self.echelon_pivots()
+        prows, pcols = sorted(prows), sorted(pcols)
+        block = [[self.entries[i][j] for j in pcols] for i in prows]
+        lead = LaurentMatrix(self.nvars, block).det()
+        if lead.is_zero():
+            raise SingularMinorError("pivot block of the elimination is singular")
+        zero = LaurentPoly.zero(self.nvars)
+        forms = []
+        for i in range(self.rows):
+            if i in prows:
+                continue
+            bordered = block + [[self.entries[i][j] for j in pcols]]
+            form = [zero] * self.rows
+            for pos, row in enumerate(prows):
+                minor = LaurentMatrix(self.nvars, bordered[:pos] + bordered[pos + 1 :]).det()
+                form[row] = -minor if (pos + r) % 2 else minor
+            form[i] = lead
+            forms.append(tuple(form))
+        return tuple(forms)
 
     def kernel_vector(self):
         """A nonzero ring vector in the right kernel, or None if full
@@ -325,23 +374,34 @@ class CramerResult:
         return f"CramerResult({self.status!r})"
 
 
-def cramer_solve(m, b, det=None):
-    """Solve m x = b by Cramer's rule; `det` may pass a precomputed
-    determinant of m."""
+def dot(u, v, nvars):
+    """sum u_i v_i in the Laurent ring in nvars variables."""
+    acc = LaurentPoly.zero(nvars)
+    for a, b in zip(u, v):
+        if a.terms and b.terms:
+            acc = acc + a * b
+    return acc
+
+
+def cramer_solve(m, b):
+    """Solve m x = b by Cramer's rule.
+
+    Numerator k is det(m with column k replaced by b), taken as its
+    Laplace expansion along that column: row k of the adjugate dotted
+    with b.  The determinant and the adjugate are kept on m, so repeated
+    solves with one matrix cost a dot product and an exact division per
+    unknown.
+    """
     if m.rows != m.cols:
         raise ValueError("Cramer's rule needs a square matrix")
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    d = m.det() if det is None else det
+    d = m.det()
     if d.is_zero():
         return CramerResult("singular")
     sol = []
-    for k in range(m.cols):
-        mk = [row[:] for row in m.entries]
-        for i in range(m.rows):
-            mk[i][k] = b[i]
-        dk = LaurentMatrix(m.nvars, mk).det()
-        q = dk.divide_exact(d)
+    for row in m.adjugate():
+        q = dot(row, b, m.nvars).divide_exact(d)
         if q is None:
             return CramerResult("no_solution_in_ring")
         sol.append(q)

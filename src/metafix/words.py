@@ -7,9 +7,10 @@ convention used everywhere in this package is [a, b] = a^-1 b^-1 a b.
 
 from __future__ import annotations
 
-# The longest word a power may build.  Checked before expanding, so a
-# hostile exponent fails at once; it also keeps the partial exponent sums
-# of such words inside the packed monomial fields of `laurent`.
+# The longest word a power or the parser may build.  Checked before each
+# word is built, so a hostile exponent or nesting fails at once; it also
+# keeps the partial exponent sums of such words inside the packed
+# monomial fields of `laurent`.
 MAX_LETTERS = 1 << 20
 
 
@@ -88,9 +89,7 @@ class Word:
         while 2 * t + 1 < len(letters) and letters[t] == -letters[-1 - t]:
             t += 1
         core = letters[t : len(letters) - t]
-        size = 2 * t + abs(k) * len(core)
-        if size > MAX_LETTERS:
-            raise WordError(f"power of {size} letters exceeds the limit of {MAX_LETTERS}")
+        _check_size(2 * t + abs(k) * len(core), "power")
         if k < 0:
             core = tuple(-L for L in reversed(core))
         if not k or not core:
@@ -133,6 +132,11 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.rank}, {word_to_text(self)!r})"
+
+
+def _check_size(size, what, position=None):
+    if size > MAX_LETTERS:
+        raise WordError(f"{what} of {size} letters exceeds the limit of {MAX_LETTERS}", position)
 
 
 def commutator(u, v):
@@ -201,7 +205,9 @@ def parse_word(text, rank):
     """Parse the word grammar: factors xK, xK^E, [w1,...,wk], (w)^E.
 
     Multi-entry brackets are left-normed: [a,b,c] = [[a,b],c].  The parsed
-    word is freely reduced.
+    word is freely reduced.  A product, commutator or power that would
+    build more than MAX_LETTERS letters raises WordError before it is
+    built.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -213,7 +219,10 @@ def parse_word(text, rank):
         nonlocal pos
         out = Word.identity(rank)
         while pos < len(tokens) and tokens[pos][0] not in stoppers:
-            out = out * parse_factor()
+            at = tokens[pos][2]
+            factor = parse_factor()
+            _check_size(len(out) + len(factor), "product", at)
+            out = out * factor
         return out
 
     def parse_factor():
@@ -240,6 +249,7 @@ def parse_word(text, rank):
                 raise WordError("a commutator needs at least two entries", at)
             atom = entries[0]
             for e in entries[1:]:
+                _check_size(2 * (len(atom) + len(e)), "commutator", at)
                 atom = atom.commutator(e)
         elif kind == "(":
             pos += 1

@@ -1,13 +1,15 @@
 import json
+import os
 
 import pytest
 
-from metafix import cli
+from metafix import cli, fixpoint
 from metafix.braid import GassnerConventionError
 from metafix.cli import main
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly
-from metafix.matrices import ExactDivisionError
+from metafix.matrices import ExactDivisionError, SingularMinorError
+from metafix.words import MAX_LETTERS
 from tests.conftest import data_path
 
 
@@ -137,7 +139,14 @@ def test_negative_bound_is_rejected(capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [ExactDivisionError, ExponentOverflowError, InternalCheckError, GassnerConventionError]
+    "error",
+    [
+        ExactDivisionError,
+        ExponentOverflowError,
+        InternalCheckError,
+        GassnerConventionError,
+        SingularMinorError,
+    ],
 )
 def test_invariant_errors_exit_3(monkeypatch, capsys, error):
     def fail(*args, **kwargs):
@@ -166,3 +175,59 @@ def test_input_files_are_closed(monkeypatch, capsys):
     run_json(capsys, "analyze", data_path("displaced_pair.endo"), "--json", "--bound", "0")
     run_json(capsys, "verify", data_path("displaced_pair.endo"), "x1", "--json")
     assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+def golden(name):
+    with open(data_path(os.path.join("golden", name))) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("fixture", ["displaced_pair", "identity2", "infinite_fix", "rank_deficient"])
+def test_analyze_matches_golden_report(capsys, fixture):
+    # rank_deficient takes the rank-deficient route; the others take the
+    # unique and decoupled routes
+    rep = run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "2", "--json")
+    rep.pop("timing")
+    rep["input"]["file"] = fixture + ".endo"
+    assert rep == golden(f"analyze_{fixture}.json")
+
+
+def test_braid_matches_golden_report(capsys):
+    rep = run_json(capsys, "braid", "3", "A[1,2] A[2,3]^-1", "--json")
+    rep.pop("timing")
+    assert rep == golden("braid_3.json")
+
+
+def test_analyze_builds_the_jacobian_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(phi, _jacobian=cli.jacobian):
+        calls.append(phi)
+        return _jacobian(phi)
+
+    monkeypatch.setattr(cli, "jacobian", counting)
+    monkeypatch.setattr(fixpoint, "jacobian", counting)
+    for fixture in ("displaced_pair", "infinite_fix", "rank_deficient"):
+        calls.clear()
+        run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "1", "--json")
+        assert len(calls) == 1, fixture
+
+
+def test_nested_commutators_are_rejected_before_expanding(tmp_path, capsys):
+    # each level doubles the word: 40 levels would ask for about 2^40 letters
+    nested = "[" * 40 + "x1,x2]" + ",x1]" * 39
+    f = tmp_path / "nested.endo"
+    f.write_text(f"x1 -> x1 {nested}\nx2 -> x2\n")
+    code, out, err = run_cli(capsys, "analyze", str(f))
+    assert code == 2 and out == ""
+    assert "exceeds the limit" in err and str(MAX_LETTERS) in err
+
+
+def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Jacobian was built for an oversized box")
+
+    monkeypatch.setattr(cli, "jacobian", fail)
+    code, out, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"), "--bound", "1000")
+    assert code == 2 and out == ""
+    assert "--bound" in err and str(cli.MAX_COSETS) in err

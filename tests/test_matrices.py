@@ -4,7 +4,7 @@ import pytest
 
 from metafix.fox import jacobian
 from metafix.laurent import LaurentPoly, parse_poly
-from metafix.matrices import LaurentMatrix, cramer_solve
+from metafix.matrices import LaurentMatrix, SingularMinorError, cramer_solve
 from metafix.samples import random_ia, random_poly
 
 
@@ -139,6 +139,103 @@ def test_cramer_solution_verifies():
         else:
             assert res.status == "singular"
     assert solved > 10
+
+
+def cramer_reference(m, b):
+    """Cramer's rule as written: numerator k is the determinant of m with
+    column k replaced by b."""
+    d = m.det_cofactor()
+    if d.is_zero():
+        return "singular", None
+    sol = []
+    for k in range(m.cols):
+        mk = [[b[i] if j == k else e for j, e in enumerate(row)] for i, row in enumerate(m.entries)]
+        q = LaurentMatrix(m.nvars, mk).det_cofactor().divide_exact(d)
+        if q is None:
+            return "no_solution_in_ring", None
+        sol.append(q)
+    return "solution", sol
+
+
+def random_low_rank(rng, rows, cols, rank, n):
+    """A rows x cols matrix of rank at most `rank`, as a product of factors."""
+    if rank == 0:
+        return LaurentMatrix.zeros(rows, cols, n)
+    return random_matrix(rng, rows, rank, n, terms=1) * random_matrix(rng, rank, cols, n)
+
+
+def test_cramer_matches_column_replacement():
+    rng = random.Random(47)
+    seen = {"solution": 0, "no_solution_in_ring": 0, "singular": 0}
+    for trial in range(90):
+        n = rng.randrange(1, 4)
+        size = rng.randrange(1, 5)
+        kind = trial % 3
+        if kind == 2:
+            m = random_low_rank(rng, size, size, rng.randrange(size), n)
+        else:
+            m = random_matrix(rng, size, size, n, terms=rng.randrange(1, 3))
+        if kind == 0:
+            b = m.mul_vector([random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(size)])
+        else:
+            b = [random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(size)]
+        status, sol = cramer_reference(m, b)
+        res = cramer_solve(m, b)
+        assert res.status == status
+        assert res.solution == sol
+        seen[status] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_adjugate_times_matrix_is_det_identity():
+    rng = random.Random(48)
+    for _ in range(30):
+        n = rng.randrange(1, 4)
+        size = rng.randrange(1, 5)
+        if rng.random() < 0.3:
+            m = random_low_rank(rng, size, size, rng.randrange(size), n)
+        else:
+            m = random_matrix(rng, size, size, n)
+        adj = LaurentMatrix(n, m.adjugate())
+        scaled = LaurentMatrix.identity(size, n) * m.det()
+        assert m * adj == scaled
+        assert adj * m == scaled
+
+
+def test_column_space_forms_match_augmented_rank():
+    rng = random.Random(49)
+    inside = outside = 0
+    for trial in range(60):
+        n = rng.randrange(1, 4)
+        rows = rng.randrange(2, 5)
+        cols = rng.randrange(1, 4)
+        m = random_low_rank(rng, rows, cols, rng.randrange(min(rows - 1, cols) + 1), n)
+        if trial % 2 == 0:
+            b = m.mul_vector([random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(cols)])
+        else:
+            b = [random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(rows)]
+        forms = m.column_space_forms()
+        assert len(forms) == rows - m.rank()
+        augmented = LaurentMatrix(n, [row + [e] for row, e in zip(m.entries, b)])
+        outside_span = augmented.rank() > m.rank()
+        assert outside_span == any(
+            not sum((c * e for c, e in zip(form, b)), LaurentPoly.zero(n)).is_zero()
+            for form in forms
+        )
+        if outside_span:
+            outside += 1
+        else:
+            inside += 1
+    # every b = m x lies inside; a random b lies outside unless m has
+    # full row rank, which the factor shapes rule out
+    assert inside == 30 and outside == 30
+
+
+def test_column_space_forms_reject_singular_pivot_block():
+    m = LaurentMatrix.zeros(2, 2, 1)
+    m._pivots = (1, (0,), (0,))
+    with pytest.raises(SingularMinorError):
+        m.column_space_forms()
 
 
 def test_matrix_product_and_vector_helpers():

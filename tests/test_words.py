@@ -131,3 +131,13 @@ def test_power_over_the_letter_cap_is_rejected():
         w ** -(MAX_LETTERS // 4)
     with pytest.raises(WordError):
         parse_word("([x1,x2])^100000000", 2)
+
+
+def test_parsed_products_and_commutators_over_the_letter_cap_are_rejected():
+    half = MAX_LETTERS // 2 + 1
+    with pytest.raises(WordError, match="product"):
+        parse_word(f"x1^{half} x2^{half}", 2)
+    with pytest.raises(WordError, match="commutator"):
+        parse_word(f"[x1^{half // 2 + 1}, x2^{half // 2}]", 2)
+    # at the cap itself the word is still built
+    assert len(parse_word(f"x1^{half - 1} x2^{half - 1}", 2)) == MAX_LETTERS
