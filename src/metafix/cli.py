@@ -19,9 +19,9 @@ from .braid import braid_automorphism, gassner, gassner_reduced, parse_braid
 from .endo import parse_endomorphism
 from .errors import InvariantError
 from .fixpoint import fixed_point_in_commutator, search_fixed
-from .fox import jacobian, word_coords
+from .fox import jacobian
 from .laurent import poly_to_text
-from .magnus import is_trivial
+from .magnus import MagnusElement, is_trivial
 from .matrices import LaurentMatrix
 from .words import WordError, parse_word, word_to_text
 
@@ -149,7 +149,7 @@ def cmd_braid(args):
         (reduced - LaurentMatrix.identity(n - 1, reduced.nvars)).det().is_zero()
     )
     rank = jmi.rank()
-    witness = fixed_point_in_commutator(phi, verify=not args.no_verify)
+    witness = fixed_point_in_commutator(phi, verify=not args.no_verify, jmi=jmi)
     findings = []
     if vanishes != (rank <= n - 2):
         findings.append("alexander vanishing disagrees with the rank-defect class")
@@ -157,16 +157,17 @@ def cmd_braid(args):
         findings.append(
             "commutator-subgroup fixed point found in the rank=n-1 edge case"
         )
+    unreduced_json = _matrix_json(unreduced)
     report = {
         "input": {"strands": args.strands, "braid": str(b)},
         "ia": phi.is_ia(),
-        "jacobian": _matrix_json(unreduced),
+        "jacobian": unreduced_json,
         "det_JmI": poly_to_text(jmi.det()),
         "rank_JmI": rank,
         "fix": None,
         "braid": {
             "automorphism": [word_to_text(y) for y in phi.images],
-            "gassner_unreduced": _matrix_json(unreduced),
+            "gassner_unreduced": unreduced_json,
             "gassner_reduced": _matrix_json(reduced),
             "alexander_vanishes": vanishes,
             "commutator_witness": None if witness is None else word_to_text(witness),
@@ -189,13 +190,14 @@ def cmd_verify(args):
     except (WordError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    diff = phi.apply(g) * g.inverse()
-    fixed = is_trivial(diff)
+    # one oracle element of the difference word gives both the answer
+    # and its coordinates
+    diff = MagnusElement.of_word(phi.apply(g) * g.inverse())
     report = {
         "input": {"file": args.file, "word": word_to_text(g)},
-        "fixed": fixed,
+        "fixed": diff.is_identity(),
         "trivial_word": is_trivial(g),
-        "difference_coords": [poly_to_text(p) for p in word_coords(diff)],
+        "difference_coords": [poly_to_text(p) for p in diff.coords],
     }
     _emit(report, args.json)
     return 0

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from .words import Word, WordError, parse_word, word_to_text
+from .words import Word, WordError, junction, parse_word, word_to_text
 
 
 class Endomorphism:
-    __slots__ = ("rank", "images")
+    """An endomorphism given by its generator images.  Immutable: nothing
+    writes `images` after `__init__`, so `apply` keeps a table of the
+    images and their inverses once it has built it."""
+
+    __slots__ = ("rank", "images", "_table")
 
     def __init__(self, images):
         images = tuple(images)
@@ -20,24 +24,33 @@ class Endomorphism:
             raise ValueError(f"{rank} generators but {len(images)} image words")
         self.rank = rank
         self.images = images
+        self._table = None
 
     @classmethod
     def identity(cls, rank):
         return cls(tuple(Word.generator(i, rank) for i in range(rank)))
 
     def apply(self, w):
-        """Image of a word: substitute generator images, freely reduce."""
-        stack = []
+        """Image of a word: substitute generator images, freely reduce.
+
+        The running image and each letter's image are freely reduced, so
+        letters cancel only where they join."""
+        table = self._table
+        if table is None:
+            table = self._table = {}
+            for i, y in enumerate(self.images, start=1):
+                table[i] = y.letters
+                table[-i] = y.inverse().letters
+        out = []
         for L in w.letters:
-            img = self.images[abs(L) - 1].letters
-            if L < 0:
-                img = tuple(-x for x in reversed(img))
-            for M in img:
-                if stack and stack[-1] == -M:
-                    stack.pop()
-                else:
-                    stack.append(M)
-        return Word._raw(self.rank, tuple(stack))
+            img = table[L]
+            if out and img and out[-1] == -img[0]:
+                k = junction(out, img)
+                del out[len(out) - k :]
+                out.extend(img[k:])
+            else:
+                out.extend(img)
+        return Word._raw(self.rank, tuple(out))
 
     def compose(self, other):
         """(self o other)(x) = self(other(x))."""

@@ -17,21 +17,31 @@ trivial kernel rules out every fixed point in the commutator subgroup,
 because any such fixed point has a power (in the module sense) of the
 candidate form, and the coordinate module is torsion free.
 
+Row i of J - I is x_i * v_i, so the system can also be read off a J - I
+the caller already holds.
+
 Outside the commutator subgroup the candidate is g = w_a * c with w_a the
 canonical representative of the abelian vector a and c unknown with
 coordinate vector u; the condition becomes the inhomogeneous system
 
     u * (J - I) = x^-a * (coords(w_a) - coords(image of w_a))
 
-together with the membership constraint sum u_i (x_i - 1) = 0.  The solver
-resolves a maximal nonsingular square subsystem by Cramer's rule with
-exact-divisibility checks; underdetermined shapes are decided when the
-undetermined coordinates touch only the membership row.  Otherwise the
-route is "rank_deficient": a coset is "none" when its right-hand side
-lies outside the column space of the stacked matrix, which one of the
-bordered-minor forms of that matrix detects by not vanishing on it (then
-there is no solution even over the fraction field), and "undecided" when
-every form vanishes.
+together with the membership constraint sum u_i (x_i - 1) = 0.
+
+One oracle element of the difference word d = (image of w_a) * w_a^-1
+serves both steps of a coset query.  It is the identity exactly when w_a
+itself is fixed (the direct check), and since the image of w_a has
+abelianization a, coords(d) = coords(image of w_a) - coords(w_a), so the
+right-hand side is -x^-a * coords(d).
+
+The solver resolves a maximal nonsingular square subsystem by Cramer's
+rule with exact-divisibility checks; underdetermined shapes are decided
+when the undetermined coordinates touch only the membership row.
+Otherwise the route is "rank_deficient": a coset is "none" when its
+right-hand side lies outside the column space of the stacked matrix,
+which one of the bordered-minor forms of that matrix detects by not
+vanishing on it (then there is no solution even over the fraction
+field), and "undecided" when every form vanishes.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from .errors import InvariantError
 from .fox import jacobian, word_coords
 from .laurent import LaurentPoly
 from .magnus import (
+    MagnusElement,
     coset_word,
     is_trivial,
     module_power_word,
@@ -69,7 +80,8 @@ def is_fixed(phi, g):
 
 
 def displacements(phi):
-    """Coordinate vectors of the words s_i = x_i^-1 * image_i."""
+    """Coordinate vectors of the words s_i = x_i^-1 * image_i, each by its
+    own Fox pass; `fixed_point_system` reads them off J - I when given."""
     _require_ia(phi)
     n = phi.rank
     out = []
@@ -79,12 +91,19 @@ def displacements(phi):
     return out
 
 
-def fixed_point_system(phi):
+def fixed_point_system(phi, jmi=None):
     """The n x (n-1) system whose kernel parametrizes fixed points of the
-    candidate commutator form."""
+    candidate commutator form.  `jmi` may pass a precomputed J - I, whose
+    row i is x_i * v_i."""
     _require_ia(phi)
     n = phi.rank
-    v = displacements(phi)
+    if jmi is None:
+        v = displacements(phi)
+    else:
+        v = [
+            [LaurentPoly.variable(i, n, -1) * e for e in row]
+            for i, row in enumerate(jmi.entries)
+        ]
     cols = []
     for k in range(n - 1):
         a = LaurentPoly.variable(k + 1, n, -1) - 1
@@ -111,11 +130,12 @@ def commutator_form_word(z):
     return out
 
 
-def fixed_point_in_commutator(phi, verify=True):
+def fixed_point_in_commutator(phi, verify=True, jmi=None):
     """A verified nontrivial fixed point inside the commutator subgroup,
-    or None when no such fixed point exists."""
+    or None when no such fixed point exists.  `jmi` may pass a
+    precomputed J - I."""
     _require_ia(phi)
-    b = fixed_point_system(phi)
+    b = fixed_point_system(phi, jmi)
     z = b.kernel_vector()
     if z is None:
         return None
@@ -203,21 +223,16 @@ class CosetSolver:
         if not any(a):
             raise ValueError("the zero coset is the commutator-subgroup search")
         wa = coset_word(a, n)
-        if is_fixed(self.phi, wa):
+        d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
+        if d.is_identity():
             return CosetOutcome(a, "found", wa, True)
-        rhs = self._rhs(wa, a)
+        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
+        rhs = [-(shift * c) for c in d.coords]
         if self.mode == "unique":
             return self._solve_unique(a, wa, rhs, verify)
         if self.mode == "decoupled":
             return self._solve_decoupled(a, wa, rhs, verify)
         return self._solve_rank_deficient(a, rhs)
-
-    def _rhs(self, wa, a):
-        n = self.n
-        sa = word_coords(wa)
-        ta = word_coords(self.phi.apply(wa))
-        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
-        return [shift * (s - t) for s, t in zip(sa, ta)]
 
     def _tau(self, rhs):
         return rhs + [LaurentPoly.zero(self.n)]
@@ -357,7 +372,7 @@ def search_fixed(phi, bound, verify=True, jmi=None):
         det_vanishes=jmi.det().is_zero(),
         rank_defect_class=rank_defect_class(phi, jmi),
     )
-    witness = fixed_point_in_commutator(phi, verify=verify)
+    witness = fixed_point_in_commutator(phi, verify=verify, jmi=jmi)
     if witness is not None:
         report.witness_in_commutator = witness
         report.witness_verified = verify

@@ -3,6 +3,13 @@
 A word stores its letters as signed 1-based generator indices (+i for x_i,
 -i for its inverse) and is always freely reduced.  The commutator
 convention used everywhere in this package is [a, b] = a^-1 b^-1 a b.
+
+Since both factors of a product are freely reduced, letters can cancel
+only at the junction: a cancelling pair inside either factor would
+already have been removed.  Once the last letter of the left part and
+the first letter of the right part no longer cancel, the joined tuple is
+freely reduced.  So a product costs the cancelled letters plus one copy,
+not a letter-by-letter pass (`junction`).
 """
 
 from __future__ import annotations
@@ -28,6 +35,17 @@ def free_reduce(letters):
         else:
             stack.append(L)
     return tuple(stack)
+
+
+def junction(left, right):
+    """The number of letters that cancel when the freely reduced sequences
+    left and right are joined: the last k letters of left are the inverses
+    of the first k letters of right, read outward from the junction."""
+    k = 0
+    m = min(len(left), len(right))
+    while k < m and left[-1 - k] == -right[k]:
+        k += 1
+    return k
 
 
 class Word:
@@ -68,13 +86,11 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         self._check(other)
-        stack = list(self.letters)
-        for L in other.letters:
-            if stack and stack[-1] == -L:
-                stack.pop()
-            else:
-                stack.append(L)
-        return Word._raw(self.rank, tuple(stack))
+        left, right = self.letters, other.letters
+        if left and right and left[-1] == -right[0]:
+            k = junction(left, right)
+            left, right = left[: len(left) - k], right[k:]
+        return Word._raw(self.rank, left + right)
 
     def inverse(self):
         return Word._raw(self.rank, tuple(-L for L in reversed(self.letters)))
@@ -105,13 +121,8 @@ class Word:
         return self.inverse() * other.inverse() * self * other
 
     def exponent_sums(self):
-        out = [0] * self.rank
-        for L in self.letters:
-            if L > 0:
-                out[L - 1] += 1
-            else:
-                out[-L - 1] -= 1
-        return tuple(out)
+        letters = self.letters
+        return tuple(letters.count(i) - letters.count(-i) for i in range(1, self.rank + 1))
 
     def is_identity(self):
         return not self.letters

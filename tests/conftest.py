@@ -4,8 +4,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
+from hypothesis import settings
 
 from metafix.endo import parse_endomorphism
+
+# One profile for every run: no deadline, so a slow machine cannot fail a
+# test on time alone, and examples derived from each test's name, so a
+# failure anywhere replays as it is on any machine.
+settings.register_profile("metafix", deadline=None, derandomize=True)
+settings.load_profile("metafix")
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

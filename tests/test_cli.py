@@ -198,6 +198,19 @@ def test_braid_matches_golden_report(capsys):
     assert rep == golden("braid_3.json")
 
 
+@pytest.mark.parametrize("fixture,word,name", [
+    ("infinite_fix", "x2", "x2"),
+    ("infinite_fix", "1", "identity"),
+    # 720 letters, not fixed
+    ("infinite_fix", "(x1 x2^-1 x3 x1^-2 x2)^120", "power"),
+    ("displaced_pair", "[x1,x2]", "commutator"),
+])
+def test_verify_matches_golden_report(capsys, fixture, word, name):
+    rep = run_json(capsys, "verify", data_path(fixture + ".endo"), word, "--json")
+    rep["input"]["file"] = fixture + ".endo"
+    assert rep == golden(f"verify_{fixture}_{name}.json")
+
+
 def test_analyze_builds_the_jacobian_once(monkeypatch, capsys):
     calls = []
 

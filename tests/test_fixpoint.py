@@ -17,9 +17,10 @@ from metafix.fixpoint import (
     rank_defect_class,
     search_fixed,
 )
-from metafix.fox import word_coords
+from metafix.fox import jacobian, word_coords
 from metafix.laurent import LaurentPoly
 from metafix.magnus import is_trivial, words_equal
+from metafix.matrices import LaurentMatrix
 from metafix.samples import (
     random_ia,
     random_poly,
@@ -74,6 +75,16 @@ def test_system_examples(displaced_pair, infinite_fix):
     assert b32.cols == 1 and b32.kernel_vector() is None
 
 
+def test_system_from_jacobian_matches_displacements():
+    # row i of J - I is x_i * v_i, so both routes give the same B
+    rng = random.Random(53)
+    for k in range(30):
+        n = 2 + k % 3
+        phi = random_rank_deficient_ia(rng, n) if k % 2 else random_ia(rng, n)
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        assert fixed_point_system(phi, jmi) == fixed_point_system(phi)
+
+
 def test_system_matches_oracle_on_random_scalars():
     # the defining property of the system: B z = 0 exactly when the
     # corresponding commutator-form word is fixed
@@ -123,6 +134,13 @@ def test_coset_examples(displaced_pair, infinite_fix):
     g0 = parse_word("x1 x2", 2)
     out = fixed_point_in_coset(inner_automorphism(g0), (1, 1))
     assert out.status == "found" and out.witness == g0
+
+    # w_a = x1 x2 is not fixed here, so the witness comes from the solver
+    g1 = parse_word("x2 x1", 2)
+    conj = inner_automorphism(g1)
+    assert not is_fixed(conj, parse_word("x1 x2", 2))
+    out1 = fixed_point_in_coset(conj, (1, 1))
+    assert out1.status == "found" and out1.verified and out1.witness == g1
 
     for a in coset_box(2, 2):
         assert fixed_point_in_coset(displaced_pair, a).status == "none"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from metafix.samples import random_word
 from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word, word_to_text
@@ -141,3 +143,48 @@ def test_parsed_products_and_commutators_over_the_letter_cap_are_rejected():
         parse_word(f"[x1^{half // 2 + 1}, x2^{half // 2}]", 2)
     # at the cap itself the word is still built
     assert len(parse_word(f"x1^{half - 1} x2^{half - 1}", 2)) == MAX_LETTERS
+
+
+# -- products and exponent sums against letter-by-letter references ----------
+
+ranks = st.integers(1, 4)
+
+
+def raw_letters(n, max_size=30):
+    return st.lists(st.integers(-n, n).filter(bool), max_size=max_size)
+
+
+def inverse_letters(letters):
+    return [-L for L in reversed(letters)]
+
+
+# (rank, u, k, w): the right factor inverts the last k letters of u, then
+# continues with w, so the junction cancels k or more letters
+products = ranks.flatmap(lambda n: st.tuples(
+    st.just(n), raw_letters(n), st.integers(0, 30), raw_letters(n, 10)))
+
+
+@given(products)
+@example((2, [], 0, []))
+@example((2, [1, 2, -1], 0, []))
+@example((2, [], 0, [2, 1]))
+@example((3, [1, 2, -3], 3, []))
+@example((3, [1, 2, -3], 2, [-1]))
+def test_product_matches_letter_by_letter_reduction(case):
+    n, u_raw, k, w_raw = case
+    u = Word(n, u_raw)
+    tail = list(u.letters[max(len(u) - k, 0) :])
+    v = Word(n, inverse_letters(tail) + w_raw)
+    assert (u * v).letters == free_reduce(u.letters + v.letters)
+    assert (v * u).letters == free_reduce(v.letters + u.letters)
+    assert (u * u.inverse()).is_identity()
+
+
+@given(ranks.flatmap(lambda n: st.tuples(st.just(n), raw_letters(n, 60))))
+def test_exponent_sums_match_a_loop(case):
+    n, raw = case
+    w = Word(n, raw)
+    sums = [0] * n
+    for L in w.letters:
+        sums[abs(L) - 1] += 1 if L > 0 else -1
+    assert w.exponent_sums() == tuple(sums)
