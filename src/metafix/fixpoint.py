@@ -17,8 +17,8 @@ trivial kernel rules out every fixed point in the commutator subgroup,
 because any such fixed point has a power (in the module sense) of the
 candidate form, and the coordinate module is torsion free.
 
-Row i of J - I is x_i * v_i, so the system can also be read off a J - I
-the caller already holds.
+Row i of J - I is x_i * v_i, so the system is read off J - I, which the
+caller may already hold.
 
 Outside the commutator subgroup the candidate is g = w_a * c with w_a the
 canonical representative of the abelian vector a and c unknown with
@@ -81,7 +81,8 @@ def is_fixed(phi, g):
 
 def displacements(phi):
     """Coordinate vectors of the words s_i = x_i^-1 * image_i, each by its
-    own Fox pass; `fixed_point_system` reads them off J - I when given."""
+    own Fox pass.  A reference for `fixed_point_system`, which reads the
+    same vectors off the rows of J - I."""
     _require_ia(phi)
     n = phi.rank
     out = []
@@ -93,17 +94,16 @@ def displacements(phi):
 
 def fixed_point_system(phi, jmi=None):
     """The n x (n-1) system whose kernel parametrizes fixed points of the
-    candidate commutator form.  `jmi` may pass a precomputed J - I, whose
-    row i is x_i * v_i."""
+    candidate commutator form.  Row i of J - I is x_i * v_i; `jmi` may
+    pass a precomputed J - I."""
     _require_ia(phi)
     n = phi.rank
     if jmi is None:
-        v = displacements(phi)
-    else:
-        v = [
-            [LaurentPoly.variable(i, n, -1) * e for e in row]
-            for i, row in enumerate(jmi.entries)
-        ]
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+    v = [
+        [LaurentPoly.variable(i, n, -1) * e for e in row]
+        for i, row in enumerate(jmi.entries)
+    ]
     cols = []
     for k in range(n - 1):
         a = LaurentPoly.variable(k + 1, n, -1) - 1

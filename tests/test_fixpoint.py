@@ -75,14 +75,29 @@ def test_system_examples(displaced_pair, infinite_fix):
     assert b32.cols == 1 and b32.kernel_vector() is None
 
 
+def _system_from_displacements(phi):
+    # column k of B is (x_{k+1}^-1 - 1) v_k + (1 - x_k^-1) v_{k+1}, with
+    # each v_k from its own Fox pass over x_k^-1 * image_k
+    n = phi.rank
+    v = displacements(phi)
+    cols = []
+    for k in range(n - 1):
+        a = LaurentPoly.variable(k + 1, n, -1) - 1
+        b = 1 - LaurentPoly.variable(k, n, -1)
+        cols.append([a * v[k][j] + b * v[k + 1][j] for j in range(n)])
+    return LaurentMatrix(n, [[cols[k][j] for k in range(n - 1)] for j in range(n)])
+
+
 def test_system_from_jacobian_matches_displacements():
-    # row i of J - I is x_i * v_i, so both routes give the same B
+    # row i of J - I is x_i * v_i, so reading v off J - I gives the same B
     rng = random.Random(53)
     for k in range(30):
         n = 2 + k % 3
         phi = random_rank_deficient_ia(rng, n) if k % 2 else random_ia(rng, n)
+        expected = _system_from_displacements(phi)
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-        assert fixed_point_system(phi, jmi) == fixed_point_system(phi)
+        assert fixed_point_system(phi) == expected
+        assert fixed_point_system(phi, jmi) == expected
 
 
 def test_system_matches_oracle_on_random_scalars():
