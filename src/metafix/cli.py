@@ -93,10 +93,7 @@ def cmd_analyze(args):
         return 2
     try:
         phi = parse_endomorphism(_read(args.file))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (WordError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     n = phi.rank
@@ -184,10 +181,7 @@ def cmd_verify(args):
     try:
         phi = parse_endomorphism(_read(args.file))
         g = parse_word(args.word, phi.rank)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (WordError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     # one oracle element of the difference word gives both the answer
@@ -245,8 +239,13 @@ def build_parser():
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every call of `main` in a process
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except WordError as e:

@@ -34,8 +34,9 @@ itself is fixed (the direct check), and since the image of w_a has
 abelianization a, coords(d) = coords(image of w_a) - coords(w_a), so the
 right-hand side is -x^-a * coords(d).
 
-The solver resolves a maximal nonsingular square subsystem by Cramer's
-rule with exact-divisibility checks; underdetermined shapes are decided
+The solver takes the pivot rows of one elimination as a nonsingular
+square subsystem and resolves it by Cramer's rule with
+exact-divisibility checks; underdetermined shapes are decided
 when the undetermined coordinates touch only the membership row.
 Otherwise the route is "rank_deficient": a coset is "none" when its
 right-hand side lies outside the column space of the stacked matrix,
@@ -100,15 +101,14 @@ def fixed_point_system(phi, jmi=None):
     n = phi.rank
     if jmi is None:
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-    v = [
-        [LaurentPoly.variable(i, n, -1) * e for e in row]
-        for i, row in enumerate(jmi.entries)
-    ]
+    e = jmi.entries
     cols = []
     for k in range(n - 1):
-        a = LaurentPoly.variable(k + 1, n, -1) - 1
-        b = 1 - LaurentPoly.variable(k, n, -1)
-        cols.append([a * v[k][j] + b * v[k + 1][j] for j in range(n)])
+        # v_k = x_k^-1 * row k of J - I, the shift folded into the coefficient
+        xk, xk1 = LaurentPoly.variable(k, n, -1), LaurentPoly.variable(k + 1, n, -1)
+        a = (xk1 - 1) * xk
+        b = (1 - xk) * xk1
+        cols.append([a * e[k][j] + b * e[k + 1][j] for j in range(n)])
     return LaurentMatrix(n, [[cols[k][j] for k in range(n - 1)] for j in range(n)])
 
 
@@ -193,26 +193,23 @@ class CosetSolver:
             self.forms = self.stacked.column_space_forms()
 
     def _choose_route(self):
+        """The route and the rows of its square subsystem.  Both square
+        routes take the pivot rows of an elimination, whose block is
+        nonsingular; with full column rank the solution over the fraction
+        field is unique, so any nonsingular subsystem gives the same u."""
         n = self.n
-        rank_full = self.stacked.rank()
-        if rank_full == n:
-            for drop in range(n, -1, -1):
-                rows = [r for r in range(n + 1) if r != drop]
-                sub = self.stacked.submatrix(rows, list(range(n)))
-                if not sub.det().is_zero():
-                    self.sub = sub
-                    return "unique", rows
-            raise InternalCheckError("full-rank system with no nonsingular subsystem")
+        if self.stacked.rank() == n:
+            rows = sorted(self.stacked.echelon_pivots()[1])
+            self.sub = self.stacked.submatrix(rows, list(range(n)))
+            return "unique", rows
         p = self.pivot_cols
-        if p:
-            gp = self.G.submatrix(list(range(n)), p)
-            rank, prows, _ = gp.echelon_pivots()
-            if rank == len(p):
-                rows = sorted(prows)
-                self.sub = self.G.submatrix(rows, p)
-                return "decoupled", rows
         if not p:
             return "decoupled", []
+        rank, prows, _ = self.G.submatrix(list(range(n)), p).echelon_pivots()
+        if rank == len(p):
+            rows = sorted(prows)
+            self.sub = self.G.submatrix(rows, p)
+            return "decoupled", rows
         return "rank_deficient", None
 
     def solve(self, a, verify=True):
@@ -227,72 +224,56 @@ class CosetSolver:
         if d.is_identity():
             return CosetOutcome(a, "found", wa, True)
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
-        rhs = [-(shift * c) for c in d.coords]
-        if self.mode == "unique":
-            return self._solve_unique(a, wa, rhs, verify)
-        if self.mode == "decoupled":
-            return self._solve_decoupled(a, wa, rhs, verify)
-        return self._solve_rank_deficient(a, rhs)
+        # the right-hand side of G u = rhs, then 0 for the membership row
+        tau = [-(shift * c) for c in d.coords] + [LaurentPoly.zero(n)]
+        if self.mode == "rank_deficient":
+            return self._solve_rank_deficient(a, tau)
+        return self._solve_cramer(a, wa, tau, verify)
 
-    def _tau(self, rhs):
-        return rhs + [LaurentPoly.zero(self.n)]
-
-    def _finish(self, a, wa, u, verify):
+    def _solve_cramer(self, a, wa, tau, verify):
+        # "unique" solves for every column and checks against the stacked
+        # matrix; "decoupled" solves for the pivot columns, checks against
+        # G and then peels the free columns off the membership row
+        n = self.n
+        unique = self.mode == "unique"
+        u = [LaurentPoly.zero(n)] * n
+        if self.sub is not None:
+            res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
+            if res.status == "singular":
+                raise InternalCheckError("square subsystem became singular")
+            if res.status == "no_solution_in_ring":
+                return CosetOutcome(a, "none")
+            for col, val in zip(range(n) if unique else self.pivot_cols, res.solution):
+                u[col] = val
+        check = self.stacked if unique else self.G
+        # zip stops at the rows of `check`: G has no membership row
+        if any((lhs - r) for lhs, r in zip(check.mul_vector(u), tau)):
+            return CosetOutcome(a, "none")
+        if not unique:
+            residual = LaurentPoly.zero(n)
+            for i in self.pivot_cols:
+                residual = residual - u[i] * self.membership[i]
+            for i in self.free_cols:
+                low = residual.subs_one(i)
+                diff = residual - low
+                if not diff.is_zero():
+                    h = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
+                    if h is None:
+                        raise InternalCheckError("membership peeling division failed")
+                    u[i] = h
+                residual = low
+            if not residual.is_zero():
+                return CosetOutcome(a, "none")
         c = realize_coords(u)
         g = wa * c
         if verify and not is_fixed(self.phi, g):
             raise InternalCheckError("coset witness failed the oracle check")
         return CosetOutcome(a, "found", g, verify)
 
-    def _solve_unique(self, a, wa, rhs, verify):
-        tau = self._tau(rhs)
-        res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
-        if res.status == "singular":
-            raise InternalCheckError("chosen subsystem became singular")
-        if res.status == "no_solution_in_ring":
-            return CosetOutcome(a, "none")
-        u = res.solution
-        full = self.stacked.mul_vector(u)
-        if any((lhs - r) for lhs, r in zip(full, tau)):
-            return CosetOutcome(a, "none")
-        return self._finish(a, wa, u, verify)
-
-    def _solve_decoupled(self, a, wa, rhs, verify):
-        n = self.n
-        p = self.pivot_cols
-        u = [LaurentPoly.zero(n)] * n
-        if p:
-            res = cramer_solve(self.sub, [rhs[r] for r in self.sub_rows])
-            if res.status == "singular":
-                raise InternalCheckError("decoupled subsystem became singular")
-            if res.status == "no_solution_in_ring":
-                return CosetOutcome(a, "none")
-            for col, val in zip(p, res.solution):
-                u[col] = val
-        check = self.G.mul_vector(u)
-        if any((lhs - r) for lhs, r in zip(check, rhs)):
-            return CosetOutcome(a, "none")
-        residual = LaurentPoly.zero(n)
-        for i in p:
-            residual = residual - u[i] * self.membership[i]
-        for i in self.free_cols:
-            low = residual.subs_one(i)
-            diff = residual - low
-            if not diff.is_zero():
-                h = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
-                if h is None:
-                    raise InternalCheckError("membership peeling division failed")
-                u[i] = h
-            residual = low
-        if not residual.is_zero():
-            return CosetOutcome(a, "none")
-        return self._finish(a, wa, u, verify)
-
-    def _solve_rank_deficient(self, a, rhs):
+    def _solve_rank_deficient(self, a, tau):
         # tau lies in the column space of the stacked matrix iff every
         # bordered form vanishes on it; if not, no u solves even over the
         # fraction field
-        tau = self._tau(rhs)
         for form in self.forms:
             if not dot(form, tau, self.n).is_zero():
                 return CosetOutcome(a, "none")

@@ -36,7 +36,7 @@ def jacobian(phi):
     """Matrix whose row i holds the derivatives of the i-th image word."""
     n = phi.rank
     rows = [word_coords(y) for y in phi.images]
-    return LaurentMatrix.from_rows(n, rows)
+    return LaurentMatrix(n, rows)
 
 
 def jacobian_row_identity_holds(phi, J=None):

@@ -389,9 +389,6 @@ class LaurentPoly:
                 return 1
         return g
 
-    def constant_coefficient(self):
-        return self.terms.get(_origin(self.nvars), 0)
-
     def eval(self, point):
         """Exact value at a point with nonzero rational coordinates."""
         if len(point) != self.nvars:
@@ -483,9 +480,6 @@ class LaurentPoly:
         if q is None:
             return None
         return LaurentPoly._raw(n, _mul_term(q, fshift - gshift, gsign * fsign, n))
-
-    def divides(self, other):
-        return other.divide_exact(self) is not None
 
     def __str__(self):
         return poly_to_text(self)

@@ -1,9 +1,14 @@
 """Exact linear algebra over integer Laurent polynomial rings.
 
 Rank is taken over the fraction field, which for a domain coincides with
-the largest nonvanishing minor.  Elimination is fraction-free in the
-Bareiss style: every interior division is by a previous pivot and is exact
-in the ring; a failing division signals a bug, not bad input.
+the largest nonvanishing minor.  One fraction-free elimination in the
+Bareiss style (Bareiss, Math. Comp. 22, 1968) gives the rank, the pivot
+rows and columns, and the determinant of a matrix larger than 4 x 4: its
+last pivot, signed by its row and column swaps.  Every interior division
+is by a previous pivot and is exact in the ring; a failing division
+signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
+which is faster there.  The adjugate, the column-space forms and the
+kernel vector are all built from one helper of signed maximal minors.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ class LaurentMatrix:
             for e in row:
                 if not isinstance(e, LaurentPoly) or e.nvars != nvars:
                     raise ValueError("entry from the wrong ring")
-
-    @classmethod
-    def from_rows(cls, nvars, rows):
-        return cls(nvars, rows)
 
     @classmethod
     def zeros(cls, rows, cols, nvars):
@@ -136,13 +137,18 @@ class LaurentMatrix:
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
-    # -- determinant ---------------------------------------------------
+    # -- elimination and determinant ------------------------------------
 
     def det(self):
         if self._det is None:
             if self.rows != self.cols:
                 raise ValueError("determinant of a non-square matrix")
-            self._det = self.det_cofactor() if self.rows <= 4 else self.det_bareiss()
+            if self.rows <= 4:
+                self._det = _det_cofactor(self.entries, self.nvars)
+            else:
+                rank, _, _, sign, last = self._elimination()
+                full = rank == self.rows
+                self._det = last * sign if full else LaurentPoly.zero(self.nvars)
         return self._det
 
     def adjugate(self):
@@ -152,68 +158,33 @@ class LaurentMatrix:
             if self.rows != self.cols:
                 raise ValueError("adjugate of a non-square matrix")
             n = self.rows
-            others = [[j for j in range(n) if j != i] for i in range(n)]
             adj = []
             for k in range(n):
-                row = []
-                for i in range(n):
-                    minor = self.submatrix(others[i], others[k]).det()
-                    row.append(-minor if (i + k) % 2 else minor)
-                adj.append(tuple(row))
+                # the rows without column k: minor i is signed (-1)^(i+n-1)
+                cut = [row[:k] + row[k + 1 :] for row in self.entries]
+                c = _signed_minors(cut, self.nvars)
+                adj.append(tuple(c if (k + n - 1) % 2 == 0 else [-e for e in c]))
             self._adj = tuple(adj)
         return self._adj
 
-    def det_cofactor(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det_cofactor(self.entries, self.nvars)
-
-    def det_bareiss(self):
-        """Fraction-free elimination; interior divisions are exact."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return LaurentPoly.one(self.nvars)
-        a = [row[:] for row in self.entries]
-        sign = 1
-        prev = LaurentPoly.one(self.nvars)
-        for k in range(n - 1):
-            pr, pc = _select_pivot(a, k, n, n)
-            if pr is None:
-                return LaurentPoly.zero(self.nvars)
-            if pr != k:
-                a[k], a[pr] = a[pr], a[k]
-                sign = -sign
-            if pc != k:
-                for row in a:
-                    row[k], row[pc] = row[pc], row[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    q = num.divide_exact(prev)
-                    if q is None:
-                        raise ExactDivisionError("Bareiss pivot division failed")
-                    a[i][j] = q
-                a[i][k] = LaurentPoly.zero(self.nvars)
-            prev = a[k][k]
-        return a[n - 1][n - 1] * sign
-
-    # -- rank and kernel -----------------------------------------------
-
     def echelon_pivots(self):
-        """Fraction-free elimination; returns (rank, pivot_rows, pivot_cols)
-        as indices into the original matrix, the indices as tuples."""
-        if self._pivots is None:
-            self._pivots = self._eliminate()
-        return self._pivots
+        """(rank, pivot_rows, pivot_cols) of the elimination, the indices as
+        tuples into the original matrix."""
+        return self._elimination()[:3]
 
-    def _eliminate(self):
+    def _elimination(self):
+        """(rank, pivot_rows, pivot_cols, sign, last_pivot), computed once.
+
+        sign is the parity of the row and column swaps and last_pivot the
+        last pivot (1 at rank 0), so a full-rank square matrix has
+        determinant sign * last_pivot."""
+        if self._pivots is not None:
+            return self._pivots
         a = [row[:] for row in self.entries]
         rows, cols = self.rows, self.cols
         row_idx = list(range(rows))
         col_idx = list(range(cols))
+        sign = 1
         prev = LaurentPoly.one(self.nvars)
         steps = min(rows, cols)
         k = 0
@@ -224,10 +195,12 @@ class LaurentMatrix:
             if pr != k:
                 a[k], a[pr] = a[pr], a[k]
                 row_idx[k], row_idx[pr] = row_idx[pr], row_idx[k]
+                sign = -sign
             if pc != k:
                 for row in a:
                     row[k], row[pc] = row[pc], row[k]
                 col_idx[k], col_idx[pc] = col_idx[pc], col_idx[k]
+                sign = -sign
             for i in range(k + 1, rows):
                 for j in range(k + 1, cols):
                     num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
@@ -238,7 +211,8 @@ class LaurentMatrix:
                 a[i][k] = LaurentPoly.zero(self.nvars)
             prev = a[k][k]
             k += 1
-        return k, tuple(row_idx[:k]), tuple(col_idx[:k])
+        self._pivots = k, tuple(row_idx[:k]), tuple(col_idx[:k]), sign, prev
+        return self._pivots
 
     def rank(self):
         return self.echelon_pivots()[0]
@@ -254,23 +228,22 @@ class LaurentMatrix:
         bordered-minor rank criterion).  Each form is a tuple of `rows`
         coefficients.
         """
-        r, prows, pcols = self.echelon_pivots()
+        _, prows, pcols = self.echelon_pivots()
         prows, pcols = sorted(prows), sorted(pcols)
         block = [[self.entries[i][j] for j in pcols] for i in prows]
-        lead = LaurentMatrix(self.nvars, block).det()
-        if lead.is_zero():
-            raise SingularMinorError("pivot block of the elimination is singular")
         zero = LaurentPoly.zero(self.nvars)
         forms = []
         for i in range(self.rows):
             if i in prows:
                 continue
-            bordered = block + [[self.entries[i][j] for j in pcols]]
+            c = _signed_minors(block + [[self.entries[i][j] for j in pcols]], self.nvars)
+            # the last minor leaves out the border: det m[R,C] itself
+            if c[-1].is_zero():
+                raise SingularMinorError("pivot block of the elimination is singular")
             form = [zero] * self.rows
-            for pos, row in enumerate(prows):
-                minor = LaurentMatrix(self.nvars, bordered[:pos] + bordered[pos + 1 :]).det()
-                form[row] = -minor if (pos + r) % 2 else minor
-            form[i] = lead
+            for row, e in zip(prows, c):
+                form[row] = e
+            form[i] = c[-1]
             forms.append(tuple(form))
         return tuple(forms)
 
@@ -289,11 +262,10 @@ class LaurentMatrix:
         free = min(j for j in range(self.cols) if j not in set(pivot_cols))
         sel = sorted(pivot_cols + [free])
         rows = sorted(prows)
+        c = _signed_minors([[self.entries[i][j] for i in rows] for j in sel], self.nvars)
         z = [LaurentPoly.zero(self.nvars)] * self.cols
-        for k, col in enumerate(sel):
-            others = [c for c in sel if c != col]
-            minor = self.submatrix(rows, others).det()
-            z[col] = minor if k % 2 == 0 else -minor
+        for col, e in zip(sel, c):
+            z[col] = e
         # strip a common factor when the smallest entry divides the rest
         # (sound over a domain: M(z/q) q = 0 forces M(z/q) = 0)
         smallest = min(
@@ -334,6 +306,19 @@ def _select_pivot(a, k, rows, cols):
     if best is None:
         return None, None
     return best
+
+
+def _signed_minors(vectors, nvars):
+    """For r + 1 vectors of length r, the list c with c_k = (-1)^(k+r) times
+    the determinant of the vectors without vector k, so that
+    sum_k c_k v_k = 0 (expand the zero determinant of the vectors bordered
+    by any of their own columns along that column)."""
+    r = len(vectors) - 1
+    out = []
+    for k in range(r + 1):
+        minor = LaurentMatrix(nvars, vectors[:k] + vectors[k + 1 :]).det()
+        out.append(-minor if (k + r) % 2 else minor)
+    return out
 
 
 def _det_cofactor(rows, nvars):

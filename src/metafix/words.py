@@ -14,6 +14,8 @@ not a letter-by-letter pass (`junction`).
 
 from __future__ import annotations
 
+from itertools import groupby
+
 # The longest word a power or the parser may build.  Checked before each
 # word is built, so a hostile exponent or nesting fails at once; it also
 # keeps the partial exponent sums of such words inside the packed
@@ -159,17 +161,11 @@ def word_to_text(w):
     if not w.letters:
         return "1"
     parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        L = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == L:
-            j += 1
-        e = (j - i) if L > 0 else -(j - i)
-        gen = abs(L)
-        parts.append(f"x{gen}" if e == 1 else f"x{gen}^{e}")
-        i = j
+    for letter, run in groupby(w.letters):
+        e = len(list(run))
+        if letter < 0:
+            letter, e = -letter, -e
+        parts.append(f"x{letter}" if e == 1 else f"x{letter}^{e}")
     return " ".join(parts)
 
 

@@ -114,6 +114,23 @@ def test_braid_command(capsys):
     assert code == 2 and "error" in err
 
 
+def test_main_repeats_after_a_usage_error(capsys):
+    # one parser serves every call in a process, so a usage error must
+    # leave nothing behind for the calls after it
+    calls = [
+        ["verify", data_path("displaced_pair.endo"), "[x1,x2]", "--json"],
+        ["verify", data_path("infinite_fix.endo"), "x2"],
+    ]
+    before = [run_cli(capsys, *argv) for argv in calls]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    after = [run_cli(capsys, *argv) for argv in calls]
+    assert after == before
+    assert [code for code, _, _ in before] == [0, 0]
+
+
 def test_selftest_command(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "3")
     assert code == 0

@@ -27,6 +27,7 @@ from metafix.samples import (
     random_rank_deficient_ia,
 )
 from metafix.words import Word, parse_word
+from tests.conftest import data_path
 
 
 def test_is_ia_examples(infinite_fix):
@@ -233,6 +234,26 @@ def test_underdetermined_cosets_reported_undecided():
     )
     out = CosetSolver(phi2).solve((1, -1, 0))
     assert out.status == "found" and is_fixed(phi2, out.witness)
+
+
+def test_unique_route_takes_a_nonsingular_subsystem_with_membership_row():
+    # det(J - I) = 0 for IA input, so the square subsystem that the
+    # elimination's pivot rows pick must keep the membership row n
+    phis = []
+    for name in ("displaced_pair", "identity2", "infinite_fix", "rank_deficient"):
+        with open(data_path(name + ".endo")) as fh:
+            phis.append(parse_endomorphism(fh.read()))
+    rng = random.Random(56)
+    phis += [random_ia(rng, rng.randrange(2, 4)) for _ in range(20)]
+    unique = 0
+    for phi in phis:
+        solver = CosetSolver(phi)
+        if solver.mode != "unique":
+            continue
+        unique += 1
+        assert not solver.sub.det().is_zero()
+        assert phi.rank in solver.sub_rows
+    assert unique >= 15
 
 
 def test_normality_examples(displaced_pair, infinite_fix):

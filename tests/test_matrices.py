@@ -4,7 +4,7 @@ import pytest
 
 from metafix.fox import jacobian
 from metafix.laurent import LaurentPoly, parse_poly
-from metafix.matrices import LaurentMatrix, SingularMinorError, cramer_solve
+from metafix.matrices import LaurentMatrix, SingularMinorError, _det_cofactor, cramer_solve
 from metafix.samples import random_ia, random_poly
 
 
@@ -44,19 +44,38 @@ def test_det_requires_square():
         LaurentMatrix.zeros(2, 3, 1).det()
 
 
-def test_bareiss_matches_cofactor():
+def test_det_matches_cofactor_on_larger_matrices():
+    # beyond 4 x 4, det() is the elimination's last pivot signed by its
+    # row and column swaps; the cofactor expansion is the reference
     rng = random.Random(42)
-    for _ in range(40):
+    signs = set()
+    row_swaps = col_swaps = 0
+    for trial in range(18):
+        size = 5 + trial % 2
         n = rng.randrange(1, 3)
-        size = rng.randrange(1, 5)
-        m = random_matrix(rng, size, size, n)
-        assert m.det_bareiss() == m.det_cofactor()
-
-
-def test_bareiss_path_on_larger_matrix():
-    rng = random.Random(43)
-    m = random_matrix(rng, 5, 5, 2, terms=1)
-    assert m.det() == m.det_cofactor()
+        kind = trial % 3
+        if kind == 1:
+            m = random_low_rank(rng, size, size, rng.randrange(1, size), n)
+        else:
+            m = random_matrix(rng, size, size, n, terms=1)
+        if kind == 2:
+            # every entry gets two or more terms except one monomial off
+            # the top left corner, so the first pivot needs a swap
+            pad = LaurentPoly.variable(0, n, 3) + LaurentPoly.variable(0, n, 4)
+            entries = [[e + pad for e in row] for row in m.entries]
+            r, c = rng.randrange(size), rng.randrange(size)
+            if r == c == 0:
+                r = rng.randrange(1, size)
+            entries[r][c] = LaurentPoly.monomial((1,) * n, n)
+            m = LaurentMatrix(n, entries)
+        assert m.det() == _det_cofactor(m.entries, n)
+        rank, prows, pcols, sign, _ = m._elimination()
+        assert (rank == size) == (not m.det().is_zero())
+        if rank == size:
+            signs.add(sign)
+        row_swaps += prows != tuple(range(rank))
+        col_swaps += pcols != tuple(range(rank))
+    assert signs == {1, -1} and row_swaps >= 3 and col_swaps >= 3, (signs, row_swaps, col_swaps)
 
 
 def test_rank_examples(displaced_pair, infinite_fix):
@@ -144,13 +163,13 @@ def test_cramer_solution_verifies():
 def cramer_reference(m, b):
     """Cramer's rule as written: numerator k is the determinant of m with
     column k replaced by b."""
-    d = m.det_cofactor()
+    d = _det_cofactor(m.entries, m.nvars)
     if d.is_zero():
         return "singular", None
     sol = []
     for k in range(m.cols):
         mk = [[b[i] if j == k else e for j, e in enumerate(row)] for i, row in enumerate(m.entries)]
-        q = LaurentMatrix(m.nvars, mk).det_cofactor().divide_exact(d)
+        q = _det_cofactor(mk, m.nvars).divide_exact(d)
         if q is None:
             return "no_solution_in_ring", None
         sol.append(q)
@@ -233,7 +252,7 @@ def test_column_space_forms_match_augmented_rank():
 
 def test_column_space_forms_reject_singular_pivot_block():
     m = LaurentMatrix.zeros(2, 2, 1)
-    m._pivots = (1, (0,), (0,))
+    m._pivots = (1, (0,), (0,), 1, LaurentPoly.zero(1))
     with pytest.raises(SingularMinorError):
         m.column_space_forms()
 
