@@ -28,21 +28,30 @@ coordinate vector u; the condition becomes the inhomogeneous system
 
 together with the membership constraint sum u_i (x_i - 1) = 0.
 
-One oracle element of the difference word d = (image of w_a) * w_a^-1
-serves both steps of a coset query.  It is the identity exactly when w_a
-itself is fixed (the direct check), and since the image of w_a has
-abelianization a, coords(d) = coords(image of w_a) - coords(w_a), so the
-right-hand side is -x^-a * coords(d).
+By the Fox chain rule (Fox, Ann. Math. 57, 1953), coords(image of w) =
+coords(w) * J for IA input, so u0 = -x^-a * coords(w_a) solves the
+system up to a membership residual of x^-a - 1.  The solutions are u0 + k
+over the left kernel vectors k of J - I with k . (x - 1) = 1 - x^-a, and
+the solver's routes are shapes of that kernel:
 
-The solver takes the pivot rows of one elimination as a nonsingular
-square subsystem and resolves it by Cramer's rule with
-exact-divisibility checks; underdetermined shapes are decided
-when the undetermined coordinates touch only the membership row.
-Otherwise the route is "rank_deficient": a coset is "none" when its
-right-hand side lies outside the column space of the stacked matrix,
-which one of the bordered-minor forms of that matrix detects by not
-vanishing on it (then there is no solution even over the fraction
-field), and "undecided" when every form vanishes.
+- "unique": the stacked matrix (J - I)^T over the membership row has
+  full column rank, so the kernel is a line R k0 and f = k . (x - 1) is
+  nonzero for any kernel vector k.  Coset a holds a fixed point iff f
+  divides (1 - x^-a) k_i for every i, and then the unique solution is
+  u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.
+- "decoupled": the rows of J - I for the fixed generators vanish and the
+  others are independent.  Cramer's rule on the pivot rows of one
+  elimination gives the other coordinates, and the free ones are peeled
+  off the membership row.
+- "rank_deficient": the rest.  If the stacked matrix and J - I have
+  equal rank, the membership row lies in the row space, every kernel
+  vector has k . (x - 1) = 0 and every coset is "none".  Otherwise a
+  coset is "found" when w_a itself is fixed and "undecided" when not.
+
+That direct check reads the oracle element of the difference word
+d = (image of w_a) * w_a^-1, which is the identity exactly when w_a is
+fixed; coords(d) = coords(image of w_a) - coords(w_a), so the right-hand
+side of the "decoupled" system is -x^-a * coords(d).
 """
 
 from __future__ import annotations
@@ -161,13 +170,12 @@ class CosetOutcome:
 class CosetSolver:
     """Per-endomorphism context for coset searches.
 
-    The matrix of every coset's system is the same; only the right-hand
-    side depends on the coset.  So the constructor does all the linear
-    algebra: it chooses the route, and prepares the determinant and the
-    adjugate of the square subsystem (routes "unique" and "decoupled") or
-    the column-space forms of the stacked matrix (route
-    "rank_deficient").  A query then costs a few dot products and at most
-    n exact divisions.  `jmi` may pass a precomputed J - I.
+    The constructor does all the linear algebra of the chosen route (see
+    the module docstring): the kernel vector k and f = k . (x - 1) on
+    "unique", the determinant and adjugate of the square subsystem on
+    "decoupled", and on "rank_deficient" whether the ideal is zero.  A
+    query then costs at most n exact divisions, a few dot products, or
+    one oracle check of w_a.  `jmi` may pass a precomputed J - I.
     """
 
     def __init__(self, phi, jmi=None):
@@ -185,23 +193,27 @@ class CosetSolver:
             if all(self.G.entries[j][i].is_zero() for j in range(n))
         ]
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
-        self.sub = self.forms = None
+        self.sub = self.kernel = self.f = None
+        self.ideal_is_zero = False
         self.mode, self.sub_rows = self._choose_route()
-        if self.sub is not None:
-            self.sub.adjugate()
+        if self.mode == "unique":
+            self.kernel = self.G.kernel_vector()
+            self.f = dot(self.kernel, self.membership, n)
+            if self.f.is_zero():
+                raise InternalCheckError("full column rank but k . (x - 1) = 0")
         elif self.mode == "rank_deficient":
-            self.forms = self.stacked.column_space_forms()
+            # rank is transpose-invariant, so J - I's memoized rank is G's
+            self.ideal_is_zero = self.stacked.rank() == jmi.rank()
+        elif self.sub is not None:
+            self.sub.adjugate()
 
     def _choose_route(self):
-        """The route and the rows of its square subsystem.  Both square
-        routes take the pivot rows of an elimination, whose block is
-        nonsingular; with full column rank the solution over the fraction
-        field is unique, so any nonsingular subsystem gives the same u."""
+        """The route and the rows of its square subsystem.  "decoupled"
+        takes the pivot rows of an elimination, whose block is
+        nonsingular."""
         n = self.n
         if self.stacked.rank() == n:
-            rows = sorted(self.stacked.echelon_pivots()[1])
-            self.sub = self.stacked.submatrix(rows, list(range(n)))
-            return "unique", rows
+            return "unique", None
         p = self.pivot_cols
         if not p:
             return "decoupled", []
@@ -219,23 +231,39 @@ class CosetSolver:
             raise ValueError("coset exponent vector of wrong length")
         if not any(a):
             raise ValueError("the zero coset is the commutator-subgroup search")
+        if self.mode == "unique":
+            return self._solve_unique(a, verify)
+        if self.ideal_is_zero:
+            return CosetOutcome(a, "none")
         wa = coset_word(a, n)
         d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
         if d.is_identity():
             return CosetOutcome(a, "found", wa, True)
-        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
-        # the right-hand side of G u = rhs, then 0 for the membership row
-        tau = [-(shift * c) for c in d.coords] + [LaurentPoly.zero(n)]
         if self.mode == "rank_deficient":
-            return self._solve_rank_deficient(a, tau)
-        return self._solve_cramer(a, wa, tau, verify)
+            return CosetOutcome(a, "undecided")
+        return self._solve_decoupled(a, wa, d, verify)
 
-    def _solve_cramer(self, a, wa, tau, verify):
-        # "unique" solves for every column and checks against the stacked
-        # matrix; "decoupled" solves for the pivot columns, checks against
-        # G and then peels the free columns off the membership row
+    def _solve_unique(self, a, verify):
         n = self.n
-        unique = self.mode == "unique"
+        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
+        # t = (1 - x^-a) k / f is a ring vector iff the coset holds a fixed point
+        top = 1 - shift
+        t = []
+        for k in self.kernel:
+            q = (top * k).divide_exact(self.f)
+            if q is None:
+                return CosetOutcome(a, "none")
+            t.append(q)
+        wa = coset_word(a, n)
+        u = [q - shift * c for q, c in zip(t, word_coords(wa))]
+        return self._finish(a, wa, u, verify)
+
+    def _solve_decoupled(self, a, wa, d, verify):
+        # Cramer on the pivot columns, a check against G, then the free
+        # columns peeled off the membership row
+        n = self.n
+        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
+        tau = [-(shift * c) for c in d.coords]
         u = [LaurentPoly.zero(n)] * n
         if self.sub is not None:
             res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
@@ -243,41 +271,31 @@ class CosetSolver:
                 raise InternalCheckError("square subsystem became singular")
             if res.status == "no_solution_in_ring":
                 return CosetOutcome(a, "none")
-            for col, val in zip(range(n) if unique else self.pivot_cols, res.solution):
+            for col, val in zip(self.pivot_cols, res.solution):
                 u[col] = val
-        check = self.stacked if unique else self.G
-        # zip stops at the rows of `check`: G has no membership row
-        if any((lhs - r) for lhs, r in zip(check.mul_vector(u), tau)):
+        if any((lhs - r) for lhs, r in zip(self.G.mul_vector(u), tau)):
             return CosetOutcome(a, "none")
-        if not unique:
-            residual = LaurentPoly.zero(n)
-            for i in self.pivot_cols:
-                residual = residual - u[i] * self.membership[i]
-            for i in self.free_cols:
-                low = residual.subs_one(i)
-                diff = residual - low
-                if not diff.is_zero():
-                    h = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
-                    if h is None:
-                        raise InternalCheckError("membership peeling division failed")
-                    u[i] = h
-                residual = low
-            if not residual.is_zero():
-                return CosetOutcome(a, "none")
-        c = realize_coords(u)
-        g = wa * c
+        residual = LaurentPoly.zero(n)
+        for i in self.pivot_cols:
+            residual = residual - u[i] * self.membership[i]
+        for i in self.free_cols:
+            low = residual.subs_one(i)
+            diff = residual - low
+            if not diff.is_zero():
+                h = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
+                if h is None:
+                    raise InternalCheckError("membership peeling division failed")
+                u[i] = h
+            residual = low
+        if not residual.is_zero():
+            return CosetOutcome(a, "none")
+        return self._finish(a, wa, u, verify)
+
+    def _finish(self, a, wa, u, verify):
+        g = wa * realize_coords(u)
         if verify and not is_fixed(self.phi, g):
             raise InternalCheckError("coset witness failed the oracle check")
         return CosetOutcome(a, "found", g, verify)
-
-    def _solve_rank_deficient(self, a, tau):
-        # tau lies in the column space of the stacked matrix iff every
-        # bordered form vanishes on it; if not, no u solves even over the
-        # fraction field
-        for form in self.forms:
-            if not dot(form, tau, self.n).is_zero():
-                return CosetOutcome(a, "none")
-        return CosetOutcome(a, "undecided")
 
 
 def fixed_point_in_coset(phi, a, verify=True):

@@ -7,8 +7,8 @@ rows and columns, and the determinant of a matrix larger than 4 x 4: its
 last pivot, signed by its row and column swaps.  Every interior division
 is by a previous pivot and is exact in the ring; a failing division
 signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
-which is faster there.  The adjugate, the column-space forms and the
-kernel vector are all built from one helper of signed maximal minors.
+which is faster there.  The adjugate and the kernel vector are both
+built from one helper of signed maximal minors.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .laurent import LaurentPoly
 
 class ExactDivisionError(InvariantError, ArithmeticError):
     """An elimination step that must divide exactly did not."""
-
-
-class SingularMinorError(InvariantError, ArithmeticError):
-    """A pivot block found by elimination has a zero determinant."""
 
 
 class LaurentMatrix:
@@ -216,36 +212,6 @@ class LaurentMatrix:
 
     def rank(self):
         return self.echelon_pivots()[0]
-
-    def column_space_forms(self):
-        """Linear forms in b, one per non-pivot row, that all vanish exactly
-        when b lies in the column space over the fraction field.
-
-        With pivot rows R and columns C from `echelon_pivots`, the form of
-        row i is the cofactor expansion along b of the bordered minor
-        det [[m[R,C], b_R], [m[i,C], b_i]], which equals
-        det m[R,C] * (b_i - m[i,C] m[R,C]^-1 b_R) (Kronecker's
-        bordered-minor rank criterion).  Each form is a tuple of `rows`
-        coefficients.
-        """
-        _, prows, pcols = self.echelon_pivots()
-        prows, pcols = sorted(prows), sorted(pcols)
-        block = [[self.entries[i][j] for j in pcols] for i in prows]
-        zero = LaurentPoly.zero(self.nvars)
-        forms = []
-        for i in range(self.rows):
-            if i in prows:
-                continue
-            c = _signed_minors(block + [[self.entries[i][j] for j in pcols]], self.nvars)
-            # the last minor leaves out the border: det m[R,C] itself
-            if c[-1].is_zero():
-                raise SingularMinorError("pivot block of the elimination is singular")
-            form = [zero] * self.rows
-            for row, e in zip(prows, c):
-                form[row] = e
-            form[i] = c[-1]
-            forms.append(tuple(form))
-        return tuple(forms)
 
     def kernel_vector(self):
         """A nonzero ring vector in the right kernel, or None if full

@@ -87,6 +87,17 @@ def _check_product_rule(rng, cases):
     return bad
 
 
+def _check_chain_rule(rng, cases):
+    bad = 0
+    for _ in range(cases):
+        n = rng.randrange(2, 5)
+        phi = random_ia(rng, n)
+        w = random_word(rng, n, rng.randrange(16))
+        if word_coords(phi.apply(w)) != jacobian(phi).vec_mul(word_coords(w)):
+            bad += 1
+    return bad
+
+
 CHECKS = [
     ("ring axioms", _check_ring_axioms, 200),
     ("exact division round trip", _check_divide_roundtrip, 100),
@@ -94,6 +105,7 @@ CHECKS = [
     ("coordinate realization round trip", _check_realize_roundtrip, 30),
     ("det(J - I) vanishes on IA inputs", _check_det_vanishes, 30),
     ("Jacobian product rule", _check_product_rule, 20),
+    ("Fox chain rule coords(phi(w)) = coords(w) J", _check_chain_rule, 30),
 ]
 
 

@@ -8,7 +8,7 @@ from metafix.braid import GassnerConventionError
 from metafix.cli import main
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly
-from metafix.matrices import ExactDivisionError, SingularMinorError
+from metafix.matrices import ExactDivisionError
 from metafix.words import MAX_LETTERS
 from tests.conftest import data_path
 
@@ -162,7 +162,6 @@ def test_negative_bound_is_rejected(capsys):
         ExponentOverflowError,
         InternalCheckError,
         GassnerConventionError,
-        SingularMinorError,
     ],
 )
 def test_invariant_errors_exit_3(monkeypatch, capsys, error):
@@ -207,6 +206,16 @@ def test_analyze_matches_golden_report(capsys, fixture):
     rep.pop("timing")
     rep["input"]["file"] = fixture + ".endo"
     assert rep == golden(f"analyze_{fixture}.json")
+
+
+@pytest.mark.parametrize("fixture", ["displaced_pair", "identity2", "infinite_fix", "rank_deficient"])
+def test_no_verify_keeps_statuses_and_witnesses(capsys, fixture):
+    # --no-verify skips only the oracle re-checks; `verified` may differ
+    def cosets(*flags):
+        rep = run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "1", "--json", *flags)
+        return [(c["a"], c["status"], c["witness"]) for c in rep["fix"]["cosets"]]
+
+    assert cosets("--no-verify") == cosets()
 
 
 def test_braid_matches_golden_report(capsys):

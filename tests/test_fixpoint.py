@@ -4,7 +4,9 @@ import pytest
 
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
 from metafix.fixpoint import (
+    CosetOutcome,
     CosetSolver,
+    InternalCheckError,
     adjacent_commutators,
     commutator_form_word,
     conjugates_fixed,
@@ -19,8 +21,14 @@ from metafix.fixpoint import (
 )
 from metafix.fox import jacobian, word_coords
 from metafix.laurent import LaurentPoly
-from metafix.magnus import is_trivial, words_equal
-from metafix.matrices import LaurentMatrix
+from metafix.magnus import (
+    MagnusElement,
+    coset_word,
+    is_trivial,
+    realize_coords,
+    words_equal,
+)
+from metafix.matrices import LaurentMatrix, _signed_minors, cramer_solve, dot
 from metafix.samples import (
     random_ia,
     random_poly,
@@ -157,6 +165,11 @@ def test_coset_examples(displaced_pair, infinite_fix):
     assert not is_fixed(conj, parse_word("x1 x2", 2))
     out1 = fixed_point_in_coset(conj, (1, 1))
     assert out1.status == "found" and out1.verified and out1.witness == g1
+    # `verified` says whether the oracle ran, which it does not on the
+    # "unique" route without verify
+    assert CosetSolver(conj).mode == "unique"
+    out1 = fixed_point_in_coset(conj, (1, 1), verify=False)
+    assert out1.status == "found" and not out1.verified and out1.witness == g1
 
     for a in coset_box(2, 2):
         assert fixed_point_in_coset(displaced_pair, a).status == "none"
@@ -236,24 +249,168 @@ def test_underdetermined_cosets_reported_undecided():
     assert out.status == "found" and is_fixed(phi2, out.witness)
 
 
-def test_unique_route_takes_a_nonsingular_subsystem_with_membership_row():
-    # det(J - I) = 0 for IA input, so the square subsystem that the
-    # elimination's pivot rows pick must keep the membership row n
+def _column_space_forms(m):
+    # Kronecker's bordered-minor criterion: with pivot rows R and columns
+    # C, b lies in the column space over the fraction field iff
+    # det [[m[R,C], b_R], [m[i,C], b_i]] vanishes for every non-pivot row i
+    _, prows, pcols = m.echelon_pivots()
+    prows, pcols = sorted(prows), sorted(pcols)
+    block = [[m.entries[i][j] for j in pcols] for i in prows]
+    forms = []
+    for i in range(m.rows):
+        if i in prows:
+            continue
+        c = _signed_minors(block + [[m.entries[i][j] for j in pcols]], m.nvars)
+        form = [LaurentPoly.zero(m.nvars)] * m.rows
+        for row, e in zip(prows, c):
+            form[row] = e
+        form[i] = c[-1]
+        forms.append(form)
+    return forms
+
+
+class ReferenceCosetSolver:
+    """The coset solver before the "unique" route divided by f: every
+    query applies phi to w_a, and the square routes solve by Cramer's
+    rule on the pivot rows of one elimination; "rank_deficient" tests the
+    right-hand side against the column-space forms of the stacked
+    matrix."""
+
+    def __init__(self, phi):
+        n = self.n = phi.rank
+        self.phi = phi
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        self.G = jmi.transpose()
+        self.membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
+        self.stacked = LaurentMatrix(n, self.G.entries + [self.membership])
+        self.free_cols = [
+            i for i in range(n) if all(self.G.entries[j][i].is_zero() for j in range(n))
+        ]
+        self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
+        self.sub = self.forms = None
+        self.mode, self.sub_rows = self._choose_route()
+        if self.mode == "rank_deficient":
+            self.forms = _column_space_forms(self.stacked)
+
+    def _choose_route(self):
+        n = self.n
+        if self.stacked.rank() == n:
+            rows = sorted(self.stacked.echelon_pivots()[1])
+            self.sub = self.stacked.submatrix(rows, list(range(n)))
+            return "unique", rows
+        p = self.pivot_cols
+        if not p:
+            return "decoupled", []
+        rank, prows, _ = self.G.submatrix(list(range(n)), p).echelon_pivots()
+        if rank == len(p):
+            rows = sorted(prows)
+            self.sub = self.G.submatrix(rows, p)
+            return "decoupled", rows
+        return "rank_deficient", None
+
+    def solve(self, a, verify=True):
+        n = self.n
+        wa = coset_word(a, n)
+        d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
+        if d.is_identity():
+            return CosetOutcome(a, "found", wa, True)
+        shift = LaurentPoly.monomial(tuple(-e for e in a), n)
+        tau = [-(shift * c) for c in d.coords] + [LaurentPoly.zero(n)]
+        if self.mode == "rank_deficient":
+            for form in self.forms:
+                if not dot(form, tau, n).is_zero():
+                    return CosetOutcome(a, "none")
+            return CosetOutcome(a, "undecided")
+        unique = self.mode == "unique"
+        u = [LaurentPoly.zero(n)] * n
+        if self.sub is not None:
+            res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
+            assert res.status != "singular"
+            if res.status == "no_solution_in_ring":
+                return CosetOutcome(a, "none")
+            for col, val in zip(range(n) if unique else self.pivot_cols, res.solution):
+                u[col] = val
+        check = self.stacked if unique else self.G
+        if any((lhs - r) for lhs, r in zip(check.mul_vector(u), tau)):
+            return CosetOutcome(a, "none")
+        if not unique:
+            residual = LaurentPoly.zero(n)
+            for i in self.pivot_cols:
+                residual = residual - u[i] * self.membership[i]
+            for i in self.free_cols:
+                low = residual.subs_one(i)
+                diff = residual - low
+                if not diff.is_zero():
+                    u[i] = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
+                residual = low
+            if not residual.is_zero():
+                return CosetOutcome(a, "none")
+        g = wa * realize_coords(u)
+        if verify:
+            assert is_fixed(self.phi, g)
+        return CosetOutcome(a, "found", g, verify)
+
+
+def _fixtures():
     phis = []
     for name in ("displaced_pair", "identity2", "infinite_fix", "rank_deficient"):
         with open(data_path(name + ".endo")) as fh:
             phis.append(parse_endomorphism(fh.read()))
-    rng = random.Random(56)
-    phis += [random_ia(rng, rng.randrange(2, 4)) for _ in range(20)]
-    unique = 0
+    return phis
+
+
+def test_coset_solver_matches_reference():
+    # statuses, witness words and verified flags agree with the solver
+    # that runs phi, a Fox pass and a Cramer solve on every coset
+    rng = random.Random(57)
+    phis = _fixtures() + [
+        inner_automorphism(parse_word(w, n))
+        for w, n in (("x2 x1", 2), ("[x1,x2]", 3), ("[x1,x2] [x2,x3]", 3))
+    ]
+    for k in range(60):
+        n = 2 + k % 3
+        phis.append(random_rank_deficient_ia(rng, n) if k % 3 == 2 else random_ia(rng, n))
+    routes = {"unique": 0, "decoupled": 0, "rank_deficient": 0}
+    statuses = {"found": 0, "none": 0, "undecided": 0}
     for phi in phis:
-        solver = CosetSolver(phi)
-        if solver.mode != "unique":
-            continue
-        unique += 1
-        assert not solver.sub.det().is_zero()
-        assert phi.rank in solver.sub_rows
-    assert unique >= 15
+        solver, ref = CosetSolver(phi), ReferenceCosetSolver(phi)
+        assert solver.mode == ref.mode
+        routes[solver.mode] += 1
+        for a in coset_box(phi.rank, 1 if phi.rank == 4 else 2):
+            got, want = solver.solve(a), ref.solve(a)
+            assert (got.status, got.verified) == (want.status, want.verified), (phi, a)
+            assert (got.witness and got.witness.letters) == (want.witness and want.witness.letters)
+            statuses[got.status] += 1
+    assert min(routes.values()) >= 4, routes
+    assert min(statuses.values()) >= 20, statuses
+
+
+@pytest.mark.parametrize(
+    "conjugator, n",
+    [("[x1,x2]", 3), ("[x1,x2] [x2,x3]", 3), ("[x1,x2]", 4)],
+)
+def test_zero_ideal_decides_every_coset_without_applying_phi(monkeypatch, conjugator, n):
+    # conjugation by a commutator fixes no element outside the commutator
+    # subgroup; the stacked matrix and J - I have equal rank, so the
+    # ideal is zero and no coset query needs the image of w_a
+    phi = inner_automorphism(parse_word(conjugator, n))
+    solver = CosetSolver(phi)
+    assert solver.mode == "rank_deficient" and solver.ideal_is_zero
+    calls = []
+    apply = Endomorphism.apply
+    monkeypatch.setattr(Endomorphism, "apply", lambda self, w: calls.append(w) or apply(self, w))
+    box = coset_box(n, 1)
+    assert [solver.solve(a).status for a in box] == ["none"] * len(box)
+    assert calls == []
+
+
+def test_unique_route_rejects_a_kernel_vector_with_zero_image(monkeypatch, displaced_pair):
+    # full column rank of the stacked matrix forces k . (x - 1) != 0
+    monkeypatch.setattr(
+        LaurentMatrix, "kernel_vector", lambda self: [LaurentPoly.zero(self.nvars)] * self.cols
+    )
+    with pytest.raises(InternalCheckError):
+        CosetSolver(displaced_pair)
 
 
 def test_normality_examples(displaced_pair, infinite_fix):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metafix.endo import Endomorphism, inner_automorphism
 from metafix.fox import (
@@ -110,6 +112,31 @@ def test_image_coords_transform_by_jacobian():
         j = jacobian(phi)
         w = random_word(rng, n, rng.randrange(10))
         assert word_coords(phi.apply(w)) == j.vec_mul(word_coords(w))
+
+
+def ia_cases(n):
+    """n, the images x_i * [u_1, v_1] ... as pairs of raw letter lists,
+    and a raw word."""
+    letters = st.lists(st.integers(-n, n).filter(bool), max_size=5)
+    image = st.lists(st.tuples(letters, letters), max_size=2)
+    word = st.lists(st.integers(-n, n).filter(bool), max_size=30)
+    return st.tuples(st.just(n), st.lists(image, min_size=n, max_size=n), word)
+
+
+@given(st.integers(2, 4).flatmap(ia_cases))
+def test_chain_rule_on_ia_images(case):
+    # coords(phi(w)) = coords(w) J: the "unique" coset route takes its
+    # particular solution -x^-a coords(w_a) from this identity
+    n, images, letters = case
+    ys = []
+    for i, pairs in enumerate(images):
+        y = Word.generator(i, n)
+        for u, v in pairs:
+            y = y * Word(n, u).commutator(Word(n, v))
+        ys.append(y)
+    phi = Endomorphism(ys)
+    w = Word(n, letters)
+    assert word_coords(phi.apply(w)) == jacobian(phi).vec_mul(word_coords(w))
 
 
 def test_det_vanishes_for_ia():

@@ -4,7 +4,7 @@ import pytest
 
 from metafix.fox import jacobian
 from metafix.laurent import LaurentPoly, parse_poly
-from metafix.matrices import LaurentMatrix, SingularMinorError, _det_cofactor, cramer_solve
+from metafix.matrices import LaurentMatrix, _det_cofactor, cramer_solve
 from metafix.samples import random_ia, random_poly
 
 
@@ -219,42 +219,6 @@ def test_adjugate_times_matrix_is_det_identity():
         scaled = LaurentMatrix.identity(size, n) * m.det()
         assert m * adj == scaled
         assert adj * m == scaled
-
-
-def test_column_space_forms_match_augmented_rank():
-    rng = random.Random(49)
-    inside = outside = 0
-    for trial in range(60):
-        n = rng.randrange(1, 4)
-        rows = rng.randrange(2, 5)
-        cols = rng.randrange(1, 4)
-        m = random_low_rank(rng, rows, cols, rng.randrange(min(rows - 1, cols) + 1), n)
-        if trial % 2 == 0:
-            b = m.mul_vector([random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(cols)])
-        else:
-            b = [random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(rows)]
-        forms = m.column_space_forms()
-        assert len(forms) == rows - m.rank()
-        augmented = LaurentMatrix(n, [row + [e] for row, e in zip(m.entries, b)])
-        outside_span = augmented.rank() > m.rank()
-        assert outside_span == any(
-            not sum((c * e for c, e in zip(form, b)), LaurentPoly.zero(n)).is_zero()
-            for form in forms
-        )
-        if outside_span:
-            outside += 1
-        else:
-            inside += 1
-    # every b = m x lies inside; a random b lies outside unless m has
-    # full row rank, which the factor shapes rule out
-    assert inside == 30 and outside == 30
-
-
-def test_column_space_forms_reject_singular_pivot_block():
-    m = LaurentMatrix.zeros(2, 2, 1)
-    m._pivots = (1, (0,), (0,), 1, LaurentPoly.zero(1))
-    with pytest.raises(SingularMinorError):
-        m.column_space_forms()
 
 
 def test_matrix_product_and_vector_helpers():
