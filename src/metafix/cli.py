@@ -109,6 +109,8 @@ def cmd_analyze(args):
     start = time.perf_counter()
     j = jacobian(phi)
     jmi = j - LaurentMatrix.identity(n, n)
+    # the rank first: its elimination then settles the determinant
+    rank = jmi.rank()
     report = {
         "input": {
             "file": args.file,
@@ -118,7 +120,7 @@ def cmd_analyze(args):
         "ia": phi.is_ia(),
         "jacobian": _matrix_json(j),
         "det_JmI": poly_to_text(jmi.det()),
-        "rank_JmI": jmi.rank(),
+        "rank_JmI": rank,
         "fix": None,
         "braid": None,
     }

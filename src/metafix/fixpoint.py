@@ -1,24 +1,26 @@
 """Detection of fixed points of IA-endomorphisms of free metabelian groups.
 
-Writing the i-th image as x_i * s_i with s_i in the commutator subgroup,
-a candidate fixed point inside the commutator subgroup is taken in the form
+An element of the commutator subgroup is determined by its coordinate
+vector u, and a ring vector u is the coordinate vector of such an element
+exactly when sum u_i (x_i - 1) = 0.  By the Fox chain rule (Fox, Ann.
+Math. 57, 1953), coords(image of w) = coords(w) * J for IA input, so the
+element is fixed iff u (J - I) = 0.  The fixed points inside the
+commutator subgroup are therefore the left kernel vectors k of J - I with
+f(k) = k . (x - 1) = 0.
 
-    g = [x1, x2]^z1 * [x2, x3]^z2 * ... * [x_{n-1}, x_n]^z_{n-1}
+One elimination of J - I, kept on the matrix and taken over by its
+transpose G = (J - I)^T, gives a basis k_1, ..., k_d of that kernel over
+the fraction field, one vector per non-pivot column of G, and each
+f_j = f(k_j).  As f is linear on the kernel:
 
-with ring scalars z_k.  Comparing coordinates of g and of its image turns
-the fixed-point equation into a homogeneous linear system B z = 0 whose
-column k is
+- if some f_j = 0, k_j is a fixed point;
+- if d >= 2 and every f_j is nonzero, so is u = f_2 k_1 - f_1 k_2;
+- if d = 1 and f_1 is nonzero, the kernel is a line on which f vanishes
+  only at 0, so no nontrivial fixed point lies in the commutator
+  subgroup.
 
-    (x_{k+1}^-1 - 1) * v_k + (1 - x_k^-1) * v_{k+1},
-
-v_k being the coordinate vector of s_k.  A nonzero kernel vector yields a
-witness, which is always re-checked against the word-problem oracle; a
-trivial kernel rules out every fixed point in the commutator subgroup,
-because any such fixed point has a power (in the module sense) of the
-candidate form, and the coordinate module is torsion free.
-
-Row i of J - I is x_i * v_i, so the system is read off J - I, which the
-caller may already hold.
+A witness is realized as a word from its coordinates and re-checked
+against the word-problem oracle.
 
 Outside the commutator subgroup the candidate is g = w_a * c with w_a the
 canonical representative of the abelian vector a and c unknown with
@@ -28,25 +30,25 @@ coordinate vector u; the condition becomes the inhomogeneous system
 
 together with the membership constraint sum u_i (x_i - 1) = 0.
 
-By the Fox chain rule (Fox, Ann. Math. 57, 1953), coords(image of w) =
-coords(w) * J for IA input, so u0 = -x^-a * coords(w_a) solves the
-system up to a membership residual of x^-a - 1.  The solutions are u0 + k
-over the left kernel vectors k of J - I with k . (x - 1) = 1 - x^-a, and
-the solver's routes are shapes of that kernel:
+By the chain rule again, u0 = -x^-a * coords(w_a) solves the system up
+to a membership residual of x^-a - 1.  The solutions are u0 + k over the
+left kernel vectors k of J - I with f(k) = 1 - x^-a, and the solver's
+routes are shapes of that kernel:
 
-- "unique": the stacked matrix (J - I)^T over the membership row has
-  full column rank, so the kernel is a line R k0 and f = k . (x - 1) is
-  nonzero for any kernel vector k.  Coset a holds a fixed point iff f
+- "unique": d = 1 and f_1 is nonzero; equivalently G over the
+  membership row has full column rank.  The kernel is a line R k0 and f
+  is nonzero on every kernel vector k.  Coset a holds a fixed point iff f
   divides (1 - x^-a) k_i for every i, and then the unique solution is
   u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.
 - "decoupled": the rows of J - I for the fixed generators vanish and the
   others are independent.  Cramer's rule on the pivot rows of one
   elimination gives the other coordinates, and the free ones are peeled
   off the membership row.
-- "rank_deficient": the rest.  If the stacked matrix and J - I have
-  equal rank, the membership row lies in the row space, every kernel
-  vector has k . (x - 1) = 0 and every coset is "none".  Otherwise a
-  coset is "found" when w_a itself is fixed and "undecided" when not.
+- "rank_deficient": the rest.  If every f_j = 0, the membership row
+  lies in the row space of G (over the fraction field the row space is
+  the orthogonal complement of the kernel), the ideal of values f(k) is
+  zero and every coset is "none".  Otherwise a coset is "found" when
+  w_a itself is fixed and "undecided" when not.
 
 That direct check reads the oracle element of the difference word
 d = (image of w_a) * w_a^-1, which is the identity exactly when w_a is
@@ -63,24 +65,13 @@ from typing import Optional
 from .errors import InvariantError
 from .fox import jacobian, word_coords
 from .laurent import LaurentPoly
-from .magnus import (
-    MagnusElement,
-    coset_word,
-    is_trivial,
-    module_power_word,
-    realize_coords,
-)
-from .matrices import LaurentMatrix, cramer_solve, dot
+from .magnus import MagnusElement, coset_word, is_trivial, realize_coords
+from .matrices import LaurentMatrix, cramer_solve, dot, normalize_vector
 from .words import Word
 
 
 class InternalCheckError(InvariantError, RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
-
-
-def _require_ia(phi):
-    if not phi.is_ia():
-        raise ValueError("endomorphism is not IA (identical in abelianization)")
 
 
 def is_fixed(phi, g):
@@ -89,66 +80,48 @@ def is_fixed(phi, g):
     return is_trivial(phi.apply(g) * g.inverse())
 
 
-def displacements(phi):
-    """Coordinate vectors of the words s_i = x_i^-1 * image_i, each by its
-    own Fox pass.  A reference for `fixed_point_system`, which reads the
-    same vectors off the rows of J - I."""
-    _require_ia(phi)
-    n = phi.rank
-    out = []
-    for i, y in enumerate(phi.images):
-        s = Word.generator(i, n).inverse() * y
-        out.append(word_coords(s))
-    return out
-
-
-def fixed_point_system(phi, jmi=None):
-    """The n x (n-1) system whose kernel parametrizes fixed points of the
-    candidate commutator form.  Row i of J - I is x_i * v_i; `jmi` may
-    pass a precomputed J - I."""
-    _require_ia(phi)
-    n = phi.rank
+def _j_minus_i(phi, jmi):
+    """J - I of an IA input; `jmi` may pass it precomputed."""
+    if not phi.is_ia():
+        raise ValueError("endomorphism is not IA (identical in abelianization)")
     if jmi is None:
+        n = phi.rank
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-    e = jmi.entries
-    cols = []
-    for k in range(n - 1):
-        # v_k = x_k^-1 * row k of J - I, the shift folded into the coefficient
-        xk, xk1 = LaurentPoly.variable(k, n, -1), LaurentPoly.variable(k + 1, n, -1)
-        a = (xk1 - 1) * xk
-        b = (1 - xk) * xk1
-        cols.append([a * e[k][j] + b * e[k + 1][j] for j in range(n)])
-    return LaurentMatrix(n, [[cols[k][j] for k in range(n - 1)] for j in range(n)])
+    return jmi
 
 
-def adjacent_commutators(n):
-    """The words [x_k, x_{k+1}], k = 1..n-1."""
-    return [
-        Word.generator(k, n).commutator(Word.generator(k + 1, n))
-        for k in range(n - 1)
-    ]
+def left_kernel(jmi):
+    """The basis k_1, ..., k_d of the left kernel of J - I over the
+    fraction field, from its one elimination and kept on it, and
+    f_j = k_j . (x - 1)."""
+    basis = jmi.left_kernel_basis()
+    if not basis or not all(any(k) for k in basis):
+        raise InternalCheckError("left kernel basis of J - I is empty or has a zero vector")
+    n = jmi.rows
+    membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
+    return basis, [dot(k, membership, n) for k in basis]
 
 
-def commutator_form_word(z):
-    """The word [x1,x2]^z1 ... [x_{n-1},x_n]^z_{n-1} for ring scalars z."""
-    n = len(z) + 1
-    out = Word.identity(n)
-    for k, base in enumerate(adjacent_commutators(n)):
-        if not z[k].is_zero():
-            out = out * module_power_word(base, z[k])
-    return out
+def commutator_fixed_coords(basis, fs):
+    """Coordinates of a nontrivial fixed point inside the commutator
+    subgroup, or None when there is none (see the module docstring)."""
+    for k, f in zip(basis, fs):
+        if not f:
+            return list(k)
+    if len(basis) < 2:
+        return None
+    (k1, k2), (f1, f2) = basis[:2], fs[:2]
+    return normalize_vector([f2 * a - f1 * b for a, b in zip(k1, k2)], f1.nvars)
 
 
 def fixed_point_in_commutator(phi, verify=True, jmi=None):
     """A verified nontrivial fixed point inside the commutator subgroup,
     or None when no such fixed point exists.  `jmi` may pass a
     precomputed J - I."""
-    _require_ia(phi)
-    b = fixed_point_system(phi, jmi)
-    z = b.kernel_vector()
-    if z is None:
+    u = commutator_fixed_coords(*left_kernel(_j_minus_i(phi, jmi)))
+    if u is None:
         return None
-    g = commutator_form_word(z)
+    g = realize_coords(u)
     if is_trivial(g):
         raise InternalCheckError("kernel vector realized to a trivial word")
     if verify and not is_fixed(phi, g):
@@ -171,58 +144,40 @@ class CosetSolver:
     """Per-endomorphism context for coset searches.
 
     The constructor does all the linear algebra of the chosen route (see
-    the module docstring): the kernel vector k and f = k . (x - 1) on
-    "unique", the determinant and adjugate of the square subsystem on
-    "decoupled", and on "rank_deficient" whether the ideal is zero.  A
-    query then costs at most n exact divisions, a few dot products, or
-    one oracle check of w_a.  `jmi` may pass a precomputed J - I.
+    the module docstring) from the kernel basis of G and its values f:
+    the kernel vector k and f = k . (x - 1) on "unique", the determinant
+    and adjugate of the square subsystem on "decoupled", and on
+    "rank_deficient" whether the ideal is zero.  A query then costs at
+    most n exact divisions, a few dot products, or one oracle check of
+    w_a.  `jmi` may pass a precomputed J - I.
     """
 
     def __init__(self, phi, jmi=None):
-        _require_ia(phi)
+        jmi = _j_minus_i(phi, jmi)
         self.phi = phi
         self.n = n = phi.rank
-        if jmi is None:
-            jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        basis, fs = left_kernel(jmi)
         self.G = jmi.transpose()
-        self.membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
-        self.stacked = LaurentMatrix(n, self.G.entries + [self.membership])
-        self.free_cols = [
-            i
-            for i in range(n)
-            if all(self.G.entries[j][i].is_zero() for j in range(n))
-        ]
+        # the zero columns of G, the generators that phi fixes
+        self.free_cols = [i for i, row in enumerate(jmi.entries) if not any(row)]
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
-        self.sub = self.kernel = self.f = None
+        self.sub = self.sub_rows = self.kernel = self.f = None
         self.ideal_is_zero = False
-        self.mode, self.sub_rows = self._choose_route()
-        if self.mode == "unique":
-            self.kernel = self.G.kernel_vector()
-            self.f = dot(self.kernel, self.membership, n)
-            if self.f.is_zero():
-                raise InternalCheckError("full column rank but k . (x - 1) = 0")
-        elif self.mode == "rank_deficient":
-            # rank is transpose-invariant, so J - I's memoized rank is G's
-            self.ideal_is_zero = self.stacked.rank() == jmi.rank()
-        elif self.sub is not None:
-            self.sub.adjugate()
-
-    def _choose_route(self):
-        """The route and the rows of its square subsystem.  "decoupled"
-        takes the pivot rows of an elimination, whose block is
-        nonsingular."""
-        n = self.n
-        if self.stacked.rank() == n:
-            return "unique", None
-        p = self.pivot_cols
-        if not p:
-            return "decoupled", []
-        rank, prows, _ = self.G.submatrix(list(range(n)), p).echelon_pivots()
-        if rank == len(p):
-            rows = sorted(prows)
-            self.sub = self.G.submatrix(rows, p)
-            return "decoupled", rows
-        return "rank_deficient", None
+        if len(basis) == 1 and fs[0]:
+            self.mode = "unique"
+            self.kernel, self.f = basis[0], fs[0]
+        elif n - len(basis) == len(self.pivot_cols):
+            # G has that rank; zero columns add nothing to it, so the
+            # nonzero ones are independent and G's pivot rows give a
+            # nonsingular block
+            self.mode = "decoupled"
+            if self.pivot_cols:
+                self.sub_rows = sorted(self.G.echelon_pivots()[1])
+                self.sub = self.G.submatrix(self.sub_rows, self.pivot_cols)
+                self.sub.adjugate()
+        else:
+            self.mode = "rank_deficient"
+            self.ideal_is_zero = not any(fs)
 
     def solve(self, a, verify=True):
         n = self.n
@@ -277,7 +232,7 @@ class CosetSolver:
             return CosetOutcome(a, "none")
         residual = LaurentPoly.zero(n)
         for i in self.pivot_cols:
-            residual = residual - u[i] * self.membership[i]
+            residual = residual - u[i] * (LaurentPoly.variable(i, n) - 1)
         for i in self.free_cols:
             low = residual.subs_one(i)
             diff = residual - low
@@ -339,10 +294,8 @@ class FixReport:
 
 def rank_defect_class(phi, jmi=None):
     """"rank<=n-2" or "rank=n-1" for the matrix J - I of an IA input."""
-    _require_ia(phi)
+    jmi = _j_minus_i(phi, jmi)
     n = phi.rank
-    if jmi is None:
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
     r = jmi.rank()
     if r > n - 1:
         raise InternalCheckError("J - I has full rank for an IA endomorphism")
@@ -361,15 +314,14 @@ def search_fixed(phi, bound, verify=True, jmi=None):
 
     `jmi` may pass a precomputed J - I; its determinant and rank are kept
     on the matrix, so a caller that reports them computes them once."""
-    _require_ia(phi)
+    jmi = _j_minus_i(phi, jmi)
     n = phi.rank
-    if jmi is None:
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
     report = FixReport(
         rank=n,
         ia=True,
-        det_vanishes=jmi.det().is_zero(),
+        # the rank first: a singular elimination makes the determinant free
         rank_defect_class=rank_defect_class(phi, jmi),
+        det_vanishes=jmi.det().is_zero(),
     )
     witness = fixed_point_in_commutator(phi, verify=verify, jmi=jmi)
     if witness is not None:

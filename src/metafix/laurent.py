@@ -606,30 +606,34 @@ def parse_poly(text, nvars):
 
 
 def poly_to_text(p):
-    """Canonical textual form: graded-lex descending, explicit '*' and '^'."""
-    if not p.terms:
+    """Canonical textual form: graded-lex descending, explicit '*' and '^'.
+
+    Each variable keeps a table, for this call, from the field value of
+    its exponent to the text "xI^e*" ("xI*" for 1, "" for 0), so a
+    monomial is a few lookups and a coefficient of +-1 adds no text."""
+    terms = p.terms
+    if not terms:
         return "0"
     n = p.nvars
-    fields = [(f"x{i + 1}", _W * (n - 1 - i)) for i in range(n)]
-    parts = []
-    for k in sorted(p.terms, reverse=True):
-        c = p.terms[k]
-        factors = []
-        for name, pos in fields:
-            e = ((k >> pos) & _MASK) - _H
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        a = abs(c)
-        if not body:
-            body = str(a)
-        elif a != 1:
-            body = f"{a}*{body}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    pieces = [body0 if sign0 == "+" else "-" + body0]
-    for s, b in parts[1:]:
-        pieces.append(f" {s} {b}")
-    return "".join(pieces)
+    fields = [(_W * (n - 1 - i), {_H: ""}, f"x{i + 1}") for i in range(n)]
+    out = []
+    for k in sorted(terms, reverse=True):
+        mono = ""
+        for pos, table, name in fields:
+            f = (k >> pos) & _MASK
+            text = table.get(f)
+            if text is None:
+                e = f - _H
+                text = table[f] = f"{name}*" if e == 1 else f"{name}^{e}*"
+            mono += text
+        c = terms[k]
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        if c == 1 or c == -1:
+            out.append(mono[:-1] if mono else "1")
+        else:
+            a = -c if c < 0 else c
+            out.append(f"{a}*{mono[:-1]}" if mono else str(a))
+    return "".join(out)

@@ -7,8 +7,11 @@ rows and columns, and the determinant of a matrix larger than 4 x 4: its
 last pivot, signed by its row and column swaps.  Every interior division
 is by a previous pivot and is exact in the ring; a failing division
 signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
-which is faster there.  The adjugate and the kernel vector are both
-built from one helper of signed maximal minors.
+which is faster there, unless a memoized elimination has already shown
+the matrix singular.  A transpose takes over the elimination of its
+original, so one elimination gives a left kernel basis too.  The
+adjugate and the kernel vectors are all built from one helper of signed
+maximal minors.
 """
 
 from __future__ import annotations
@@ -27,14 +30,14 @@ class LaurentMatrix:
     """A matrix over the Laurent ring in `nvars` variables.
 
     Nothing writes `entries` after `__init__`, so the determinant, the
-    adjugate and the elimination pivots are computed at most once per
-    instance and kept in the private slots.
+    adjugate, the elimination pivots and the left kernel basis are
+    computed at most once per instance and kept in the private slots.
     """
 
-    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_adj", "_pivots")
+    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_adj", "_pivots", "_basis")
 
     def __init__(self, nvars, entries):
-        self._det = self._adj = self._pivots = None
+        self._det = self._adj = self._pivots = self._basis = None
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -106,10 +109,18 @@ class LaurentMatrix:
         )
 
     def transpose(self):
-        return LaurentMatrix(
+        """The transpose.  It takes over a memoized elimination and
+        determinant: the pivot rows of one matrix are the pivot columns of
+        the other, and their pivot blocks are transposes."""
+        t = LaurentMatrix(
             self.nvars,
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
+        t._det = self._det
+        if self._pivots is not None:
+            rank, prows, pcols, sign, last = self._pivots
+            t._pivots = rank, pcols, prows, sign, last
+        return t
 
     def submatrix(self, row_idx, col_idx):
         return LaurentMatrix(
@@ -139,7 +150,9 @@ class LaurentMatrix:
         if self._det is None:
             if self.rows != self.cols:
                 raise ValueError("determinant of a non-square matrix")
-            if self.rows <= 4:
+            if self._pivots is not None and self._pivots[0] < self.rows:
+                self._det = LaurentPoly.zero(self.nvars)
+            elif self.rows <= 4:
                 self._det = _det_cofactor(self.entries, self.nvars)
             else:
                 rank, _, _, sign, last = self._elimination()
@@ -213,46 +226,68 @@ class LaurentMatrix:
     def rank(self):
         return self.echelon_pivots()[0]
 
-    def kernel_vector(self):
+    def kernel_vector(self, free=None):
         """A nonzero ring vector in the right kernel, or None if full
         column rank.
 
-        Built from signed maximal minors on the pivot columns plus one
-        free column; the result is divided by the gcd of its contents and
-        the first nonzero entry is normalized to unit form.
+        Built from signed maximal minors on the pivot rows and columns
+        plus the non-pivot column `free` (by default the first), then put
+        in the form of `normalize_vector`.  Its entry at `free` is nonzero
+        and its entries at the other non-pivot columns are zero.
         """
         rank, prows, pcols = self.echelon_pivots()
         if rank == self.cols:
             return None
-        pivot_cols = sorted(pcols)
-        free = min(j for j in range(self.cols) if j not in set(pivot_cols))
-        sel = sorted(pivot_cols + [free])
+        if free is None:
+            free = min(set(range(self.cols)).difference(pcols))
+        elif free in pcols:
+            raise ValueError(f"column {free} is a pivot column")
+        sel = sorted(pcols + (free,))
         rows = sorted(prows)
         c = _signed_minors([[self.entries[i][j] for i in rows] for j in sel], self.nvars)
         z = [LaurentPoly.zero(self.nvars)] * self.cols
         for col, e in zip(sel, c):
             z[col] = e
-        # strip a common factor when the smallest entry divides the rest
-        # (sound over a domain: M(z/q) q = 0 forces M(z/q) = 0)
-        smallest = min(
-            (p for p in z if not p.is_zero()), key=lambda p: len(p.terms)
-        )
-        q, _ = smallest.normalized()
-        reduced = [p.divide_exact(q) for p in z]
-        if all(r is not None for r in reduced):
-            z = reduced
-        g = 0
-        for p in z:
-            g = gcd(g, p.content())
-        if g > 1:
-            z = [p.divide_exact(LaurentPoly.constant(g, self.nvars)) for p in z]
-        lead = next(p for p in z if not p.is_zero())
-        _, unit = lead.normalized()
-        uinv = unit ** (-1)
-        z = [p * uinv for p in z]
+        z = normalize_vector(z, self.nvars)
         if any(not e.is_zero() for e in self.mul_vector(z)):
             raise ExactDivisionError("kernel vector does not annihilate the matrix")
         return z
+
+    def left_kernel_basis(self):
+        """A basis, over the fraction field, of the row vectors k with
+        k M = 0: one `kernel_vector` of the transpose, which takes this
+        matrix's elimination over, per non-pivot row.  Vector i is the
+        only one nonzero at non-pivot row i."""
+        if self._basis is None:
+            prows = self._elimination()[1]
+            t = self.transpose()
+            self._basis = tuple(t.kernel_vector(i) for i in range(self.rows) if i not in prows)
+        return self._basis
+
+
+def normalize_vector(z, nvars):
+    """z, which has a nonzero entry, up to a nonzero ring factor: the
+    primitive part q of the entry with fewest terms stripped when it
+    divides every entry, the integer content divided out, and the first
+    nonzero entry's leading unit removed.  Sound for kernel vectors over
+    a domain: M (z/q) q = 0 forces M (z/q) = 0."""
+    smallest = min((p for p in z if not p.is_zero()), key=lambda p: len(p.terms))
+    q, _ = smallest.normalized()
+    c = q.content()
+    if c > 1:
+        q = q.divide_exact(LaurentPoly.constant(c, nvars))
+    reduced = [p.divide_exact(q) for p in z]
+    if all(r is not None for r in reduced):
+        z = reduced
+    g = 0
+    for p in z:
+        g = gcd(g, p.content())
+    if g > 1:
+        z = [p.divide_exact(LaurentPoly.constant(g, nvars)) for p in z]
+    lead = next(p for p in z if not p.is_zero())
+    _, unit = lead.normalized()
+    uinv = unit ** (-1)
+    return [p * uinv for p in z]
 
 
 def _select_pivot(a, k, rows, cols):

@@ -9,10 +9,20 @@ from __future__ import annotations
 
 import random
 
+from .endo import inner_automorphism
+from .fixpoint import fixed_point_in_commutator, left_kernel
 from .fox import jacobian, product_rule_holds, word_coords
+from .laurent import LaurentPoly
 from .magnus import MagnusElement, is_module_vector, realize_coords
 from .matrices import LaurentMatrix
-from .samples import random_ia, random_module_vector, random_poly, random_word
+from .samples import (
+    random_commutator_subgroup_word,
+    random_ia,
+    random_module_vector,
+    random_poly,
+    random_rank_deficient_ia,
+    random_word,
+)
 
 
 def _check_ring_axioms(rng, cases):
@@ -78,6 +88,31 @@ def _check_det_vanishes(rng, cases):
     return bad
 
 
+def _check_kernel_decides_stacked_rank(rng, cases):
+    """(J - I)^T over the membership row, eliminated on its own, against
+    the kernel basis of (J - I)^T and the values f_j = k_j . (x - 1):
+    every f_j = 0 iff the two ranks agree, and a rank below n iff a
+    commutator witness exists."""
+    bad = 0
+    for k in range(cases):
+        n = rng.randrange(2, 5)
+        if k % 3 == 0:
+            # conjugation by a commutator word: the ideal is zero
+            phi = inner_automorphism(random_commutator_subgroup_word(rng, n))
+        else:
+            phi = random_rank_deficient_ia(rng, n) if k % 3 == 1 else random_ia(rng, n)
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
+        stacked = LaurentMatrix(n, [list(col) for col in zip(*jmi.entries)] + [membership])
+        rank = stacked.rank()
+        _, fs = left_kernel(jmi)
+        if (not any(fs)) != (rank == jmi.rank()):
+            bad += 1
+        elif (rank < n) != (fixed_point_in_commutator(phi, jmi=jmi) is not None):
+            bad += 1
+    return bad
+
+
 def _check_product_rule(rng, cases):
     bad = 0
     for _ in range(cases):
@@ -104,6 +139,7 @@ CHECKS = [
     ("normal-form homomorphism", _check_magnus_homomorphism, 100),
     ("coordinate realization round trip", _check_realize_roundtrip, 30),
     ("det(J - I) vanishes on IA inputs", _check_det_vanishes, 30),
+    ("kernel basis of (J - I)^T decides the stacked rank", _check_kernel_decides_stacked_rank, 20),
     ("Jacobian product rule", _check_product_rule, 20),
     ("Fox chain rule coords(phi(w)) = coords(w) J", _check_chain_rule, 30),
 ]

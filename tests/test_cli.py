@@ -38,7 +38,7 @@ def test_analyze_displaced_pair(capsys):
 def test_analyze_infinite_fix(capsys):
     rep = run_json(capsys, "analyze", data_path("infinite_fix.endo"), "--json", "--bound", "1")
     assert rep["fix"]["rank_defect_class"] == "rank<=n-2"
-    assert rep["fix"]["witness_in_commutator"] == "x2^-1 x3^-1 x2 x3"
+    assert rep["fix"]["witness_in_commutator"] == "x3 x2 x3^-1 x2^-1"
     by_a = {tuple(c["a"]): c for c in rep["fix"]["cosets"]}
     assert by_a[(0, 1, 0)]["status"] == "found"
     assert by_a[(0, 1, 0)]["witness"] == "x2"

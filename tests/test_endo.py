@@ -1,8 +1,13 @@
+import random
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metafix.endo import Endomorphism
-from metafix.words import Word, free_reduce
+from metafix.cli import main
+from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
+from metafix.samples import random_word
+from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word
 
 ranks = st.integers(1, 4)
 
@@ -40,3 +45,39 @@ def test_apply_matches_letter_by_letter_reduction(case):
     # the second call reuses the image table the first one built
     assert phi.apply(w).letters == ref_apply(reduced, w.letters)
     assert phi.apply(w.inverse()).letters == ref_apply(reduced, w.inverse().letters)
+
+
+# x1 -> [x1,x2]^512 x1: 2049 letters, none cancelling in powers of x1
+HOSTILE = "x1 -> (x1 x2 x1^-1 x2^-1)^512 x1\nx2 -> x2\n"
+
+
+def test_image_past_the_letter_limit_is_rejected():
+    # x1^1024 would map to 2,098,176 letters; apply stops once the
+    # running image passes the limit
+    phi = parse_endomorphism(HOSTILE)
+    with pytest.raises(WordError, match=str(MAX_LETTERS)):
+        phi.apply(parse_word("x1^1024", 2))
+    assert len(phi.apply(parse_word("x1^511", 2))) == 511 * 2049 <= MAX_LETTERS
+
+
+def test_verify_rejects_an_image_past_the_letter_limit(tmp_path, capsys):
+    f = tmp_path / "hostile.endo"
+    f.write_text(HOSTILE)
+    code = main(["verify", str(f), "(x1)^1024"])
+    err = capsys.readouterr().err
+    assert code == 2 and "exceeds the limit" in err
+
+
+def test_image_that_reduces_below_the_limit_is_kept():
+    # conjugation by a 1000-letter g: letter by letter the images total
+    # about 2M letters, more than the limit, but the reduced running image
+    # never exceeds about 3k
+    rng = random.Random(5)
+    n = 3
+    g = random_word(rng, n, 1000)
+    w = random_word(rng, n, 1000)
+    while len(g) < 1000 or len(w) < 1000:
+        g, w = g * random_word(rng, n, 10), w * random_word(rng, n, 10)
+    phi = inner_automorphism(g)
+    assert len(w) * max(len(y) for y in phi.images) > MAX_LETTERS
+    assert phi.apply(w) == g.inverse() * w * g

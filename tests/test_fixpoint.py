@@ -1,21 +1,21 @@
+import itertools
 import random
 
 import pytest
 
+from metafix.braid import BraidWord, braid_automorphism
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
 from metafix.fixpoint import (
     CosetOutcome,
     CosetSolver,
     InternalCheckError,
-    adjacent_commutators,
-    commutator_form_word,
+    commutator_fixed_coords,
     conjugates_fixed,
     coset_box,
-    displacements,
     fixed_point_in_commutator,
     fixed_point_in_coset,
-    fixed_point_system,
     is_fixed,
+    left_kernel,
     rank_defect_class,
     search_fixed,
 )
@@ -24,9 +24,10 @@ from metafix.laurent import LaurentPoly
 from metafix.magnus import (
     MagnusElement,
     coset_word,
+    is_module_vector,
     is_trivial,
+    module_power_word,
     realize_coords,
-    words_equal,
 )
 from metafix.matrices import LaurentMatrix, _signed_minors, cramer_solve, dot
 from metafix.samples import (
@@ -36,6 +37,61 @@ from metafix.samples import (
 )
 from metafix.words import Word, parse_word
 from tests.conftest import data_path
+from tests.test_acceptance import _is_unit_multiple
+
+
+# The commutator-subgroup detector before it read the kernel of J - I: a
+# candidate [x1,x2]^z1 ... [x_{n-1},x_n]^z_{n-1} with ring scalars z_k,
+# whose fixed-point equation is the n x (n-1) system B z = 0.  Kept as the
+# reference of the differential tests below.
+
+
+def displacements(phi):
+    """Coordinate vectors of the words s_i = x_i^-1 * image_i, each by its
+    own Fox pass."""
+    if not phi.is_ia():
+        raise ValueError("endomorphism is not IA")
+    n = phi.rank
+    return [word_coords(Word.generator(i, n).inverse() * y) for i, y in enumerate(phi.images)]
+
+
+def fixed_point_system(phi, jmi=None):
+    """B, whose column k is (x_{k+1}^-1 - 1) v_k + (1 - x_k^-1) v_{k+1}
+    with v_k the displacement coordinates; row i of J - I is x_i * v_i,
+    so B is read off J - I, which `jmi` may pass."""
+    if not phi.is_ia():
+        raise ValueError("endomorphism is not IA")
+    n = phi.rank
+    if jmi is None:
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+    e = jmi.entries
+    cols = []
+    for k in range(n - 1):
+        xk, xk1 = LaurentPoly.variable(k, n, -1), LaurentPoly.variable(k + 1, n, -1)
+        a = (xk1 - 1) * xk
+        b = (1 - xk) * xk1
+        cols.append([a * e[k][j] + b * e[k + 1][j] for j in range(n)])
+    return LaurentMatrix(n, [[cols[k][j] for k in range(n - 1)] for j in range(n)])
+
+
+def adjacent_commutators(n):
+    """The words [x_k, x_{k+1}], k = 1..n-1."""
+    return [Word.generator(k, n).commutator(Word.generator(k + 1, n)) for k in range(n - 1)]
+
+
+def commutator_form_word(z):
+    """The word [x1,x2]^z1 ... [x_{n-1},x_n]^z_{n-1} for ring scalars z."""
+    n = len(z) + 1
+    out = Word.identity(n)
+    for k, base in enumerate(adjacent_commutators(n)):
+        if not z[k].is_zero():
+            out = out * module_power_word(base, z[k])
+    return out
+
+
+def reference_commutator_witness(phi):
+    z = fixed_point_system(phi).kernel_vector()
+    return None if z is None else commutator_form_word(z)
 
 
 def test_is_ia_examples(infinite_fix):
@@ -140,8 +196,10 @@ def test_commutator_detector_examples(displaced_pair, infinite_fix):
 
     assert fixed_point_in_commutator(displaced_pair) is None
 
+    # a unit multiple of coords([x2,x3]), fixed by the oracle
     w15 = fixed_point_in_commutator(infinite_fix)
-    assert words_equal(w15, parse_word("[x2,x3]", 3))
+    assert is_fixed(infinite_fix, w15)
+    assert _is_unit_multiple(word_coords(w15), word_coords(parse_word("[x2,x3]", 3)))
 
 
 def test_detected_witnesses_on_rank_deficient_instances():
@@ -289,8 +347,10 @@ class ReferenceCosetSolver:
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
         self.sub = self.forms = None
         self.mode, self.sub_rows = self._choose_route()
+        self.ideal_is_zero = False
         if self.mode == "rank_deficient":
             self.forms = _column_space_forms(self.stacked)
+            self.ideal_is_zero = self.stacked.rank() == self.G.rank()
 
     def _choose_route(self):
         n = self.n
@@ -372,10 +432,12 @@ def test_coset_solver_matches_reference():
         phis.append(random_rank_deficient_ia(rng, n) if k % 3 == 2 else random_ia(rng, n))
     routes = {"unique": 0, "decoupled": 0, "rank_deficient": 0}
     statuses = {"found": 0, "none": 0, "undecided": 0}
+    zero_ideals = 0
     for phi in phis:
         solver, ref = CosetSolver(phi), ReferenceCosetSolver(phi)
-        assert solver.mode == ref.mode
+        assert (solver.mode, solver.ideal_is_zero) == (ref.mode, ref.ideal_is_zero)
         routes[solver.mode] += 1
+        zero_ideals += solver.ideal_is_zero
         for a in coset_box(phi.rank, 1 if phi.rank == 4 else 2):
             got, want = solver.solve(a), ref.solve(a)
             assert (got.status, got.verified) == (want.status, want.verified), (phi, a)
@@ -383,6 +445,7 @@ def test_coset_solver_matches_reference():
             statuses[got.status] += 1
     assert min(routes.values()) >= 4, routes
     assert min(statuses.values()) >= 20, statuses
+    assert 0 < zero_ideals < routes["rank_deficient"], zero_ideals
 
 
 @pytest.mark.parametrize(
@@ -404,13 +467,19 @@ def test_zero_ideal_decides_every_coset_without_applying_phi(monkeypatch, conjug
     assert calls == []
 
 
-def test_unique_route_rejects_a_kernel_vector_with_zero_image(monkeypatch, displaced_pair):
-    # full column rank of the stacked matrix forces k . (x - 1) != 0
+def test_zero_kernel_vector_is_an_internal_error(monkeypatch, displaced_pair, infinite_fix):
+    # every kernel basis vector of (J - I)^T is nonzero at its own
+    # non-pivot column; a zero one would decide routes and witnesses wrongly
     monkeypatch.setattr(
-        LaurentMatrix, "kernel_vector", lambda self: [LaurentPoly.zero(self.nvars)] * self.cols
+        LaurentMatrix,
+        "kernel_vector",
+        lambda self, free=None: [LaurentPoly.zero(self.nvars)] * self.cols,
     )
-    with pytest.raises(InternalCheckError):
-        CosetSolver(displaced_pair)
+    for phi in (displaced_pair, infinite_fix):
+        with pytest.raises(InternalCheckError):
+            CosetSolver(phi)
+        with pytest.raises(InternalCheckError):
+            fixed_point_in_commutator(phi)
 
 
 def test_normality_examples(displaced_pair, infinite_fix):
@@ -443,3 +512,52 @@ def test_adjacent_commutator_basis():
         "x2^-1 x3^-1 x2 x3",
         "x3^-1 x4^-1 x3 x4",
     ]
+
+
+def _all_pure_braids_on_three_strands():
+    # every word of length <= 3 in A[1,2], A[1,3], A[2,3] and inverses: 259
+    gens = [(i, j, s) for (i, j) in ((1, 2), (1, 3), (2, 3)) for s in (1, -1)]
+    words = [letters for k in range(4) for letters in itertools.product(gens, repeat=k)]
+    return [braid_automorphism(BraidWord(3, letters)) for letters in words]
+
+
+def test_commutator_detector_matches_the_adjacent_commutator_system():
+    # a witness exists exactly when the reference's B has a kernel, and
+    # every new witness is a nontrivial fixed point in the commutator subgroup
+    rng = random.Random(58)
+    phis = _fixtures() + _all_pure_braids_on_three_strands()
+    for k in range(60):
+        n = 2 + k % 3
+        phis.append(random_rank_deficient_ia(rng, n) if k % 2 else random_ia(rng, n))
+    assert len(phis) == 4 + 259 + 60
+    found = 0
+    for phi in phis:
+        w = fixed_point_in_commutator(phi)
+        assert (w is None) == (reference_commutator_witness(phi) is None), phi
+        if w is None:
+            continue
+        found += 1
+        assert not is_trivial(w) and is_fixed(phi, w)
+        assert is_module_vector(word_coords(w))
+    assert 50 < found < len(phis) - 50, found
+
+
+def test_combined_witness_when_no_basis_vector_has_zero_image():
+    # two kernel vectors, neither in the membership kernel: the witness is
+    # f_2 k_1 - f_1 k_2, which the oracle accepts
+    rng = random.Random(59)
+    combined = 0
+    for k in range(30):
+        phi = random_rank_deficient_ia(rng, 3 + k % 2)
+        n = phi.rank
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        basis, fs = left_kernel(jmi)
+        if len(basis) < 2 or not all(fs):
+            continue
+        combined += 1
+        u = commutator_fixed_coords(basis, fs)
+        assert is_module_vector(u) and any(u)
+        assert all(p.is_zero() for p in jmi.transpose().mul_vector(u))
+        w = fixed_point_in_commutator(phi, jmi=jmi)
+        assert word_coords(w) == u and is_fixed(phi, w)
+    assert combined >= 20, combined

@@ -10,6 +10,8 @@ from metafix.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     _H,
+    _MASK,
+    _W,
     _pack,
     _unpack,
     parse_poly,
@@ -225,6 +227,51 @@ def test_packed_kernel_matches_reference(case):
     assert (p + q).exponent_terms() == ref_add(a, b)
     assert (p - q).exponent_terms() == ref_add(a, b, -1)
     assert (p * q).exponent_terms() == ref_mul(a, b)
+
+
+def ref_poly_to_text(p):
+    """The formatter before its per-variable exponent tables."""
+    if not p.terms:
+        return "0"
+    n = p.nvars
+    fields = [(f"x{i + 1}", _W * (n - 1 - i)) for i in range(n)]
+    parts = []
+    for k in sorted(p.terms, reverse=True):
+        c = p.terms[k]
+        factors = []
+        for name, pos in fields:
+            e = ((k >> pos) & _MASK) - _H
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        a = abs(c)
+        if not body:
+            body = str(a)
+        elif a != 1:
+            body = f"{a}*{body}"
+        parts.append(("-" if c < 0 else "+", body))
+    sign0, body0 = parts[0]
+    pieces = [body0 if sign0 == "+" else "-" + body0]
+    for s, b in parts[1:]:
+        pieces.append(f" {s} {b}")
+    return "".join(pieces)
+
+
+units_and_big = st.sampled_from([1, -1]) | st.integers(-(10**31), 10**31).filter(bool)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.tuples(*[st.integers(-40, 40)] * n), units_and_big, max_size=8))))
+@example((1, {}))
+@example((1, {(0,): -1}))
+@example((3, {(0, 0, 0): 10**30, (1, -1, 0): -1, (-2, 0, 1): 1}))
+@example((4, {(0, 0, 0, 0): -(10**30), (0, 0, 0, 1): 1, (-1, -1, -1, -1): -1}))
+def test_poly_to_text_matches_reference(case):
+    n, terms = case
+    p = LaurentPoly(n, terms)
+    assert poly_to_text(p) == ref_poly_to_text(p)
 
 
 @given(ranks.flatmap(lambda n: st.tuples(

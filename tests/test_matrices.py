@@ -86,12 +86,47 @@ def test_rank_examples(displaced_pair, infinite_fix):
     assert jmi3.rank() == 1
 
 
+def fresh_transpose(m):
+    """The transpose as a new matrix, with nothing memoized."""
+    return LaurentMatrix(m.nvars, [list(col) for col in zip(*m.entries)])
+
+
 def test_rank_equals_transpose_rank():
     rng = random.Random(44)
     for _ in range(40):
         n = rng.randrange(1, 3)
         m = random_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5), n)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == fresh_transpose(m).rank()
+
+
+def test_transpose_takes_over_the_elimination():
+    # the handed-over pivots must be those of a valid elimination of the
+    # transpose: the right rank and a nonsingular pivot block
+    rng = random.Random(49)
+    for trial in range(30):
+        n = rng.randrange(1, 3)
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        if trial % 2:
+            m = random_low_rank(rng, rows, cols, rng.randrange(min(rows, cols)), n)
+        else:
+            m = random_matrix(rng, rows, cols, n)
+        rank, prows, pcols = m.echelon_pivots()
+        t = m.transpose()
+        assert t == fresh_transpose(m)
+        assert t.echelon_pivots() == (rank, pcols, prows)
+        assert fresh_transpose(m).rank() == rank
+        if rank:
+            assert not t.submatrix(sorted(pcols), sorted(prows)).det().is_zero()
+        if rows == cols:
+            assert t.det() == _det_cofactor(t.entries, n)
+
+
+def test_det_of_an_eliminated_singular_matrix_is_zero_without_expanding(monkeypatch):
+    rng = random.Random(50)
+    m = random_low_rank(rng, 3, 3, 2, 2)
+    assert m.rank() == 2
+    monkeypatch.setattr("metafix.matrices._det_cofactor", lambda *a: 1 / 0)
+    assert m.det() == 0 and m.transpose().det() == 0
 
 
 def test_kernel_examples():
@@ -101,6 +136,36 @@ def test_kernel_examples():
 
     nonsingular = LaurentMatrix(1, [[parse_poly("x1", 1)]])
     assert nonsingular.kernel_vector() is None
+
+
+def test_left_kernel_basis_spans_the_left_kernel():
+    # one vector per non-pivot row, nonzero exactly there among the
+    # non-pivot rows, each annihilating the matrix from the left, all
+    # from the matrix's own elimination
+    rng = random.Random(51)
+    same = 0
+    for trial in range(40):
+        n = rng.randrange(1, 3)
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 4)
+        m = random_low_rank(rng, rows, cols, rng.randrange(min(rows, cols) + 1), n)
+        rank, prows, _ = m.echelon_pivots()
+        free = [i for i in range(rows) if i not in prows]
+        basis = m.left_kernel_basis()
+        assert basis is m.left_kernel_basis() and len(basis) == rows - rank
+        t = fresh_transpose(m)
+        for i, k in zip(free, basis):
+            assert all(p.is_zero() for p in m.vec_mul(k))
+            assert [not k[j].is_zero() for j in free] == [j == i for j in free]
+        if t.echelon_pivots()[2] == prows:
+            same += 1
+            assert list(basis) == [t.kernel_vector(i) for i in free]
+    assert same >= 20, same
+
+
+def test_kernel_vector_rejects_a_pivot_column():
+    m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1), parse_poly("x1 - 1", 1)]])
+    with pytest.raises(ValueError):
+        m.kernel_vector(m.echelon_pivots()[2][0])
 
 
 def test_kernel_annihilates_random():
