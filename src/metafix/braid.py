@@ -8,6 +8,11 @@ and the pure generator A[i,j] (i < j) is the conjugated square
 
     A[i,j] = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1.
 
+Its action is built in closed form (Artin, Ann. Math. 48, 1947, in this
+convention): with c = (x_i x_j)^s and g = c (x_j x_i)^-s, A[i,j]^s
+conjugates x_i and x_j by c and each x_k with i < k < j by g, and fixes
+every other generator; conjugating by w maps x to w x w^-1.
+
 A braid word maps to the composite of its letter automorphisms so that the
 matrix of a concatenation is the product of the matrices (letters read left
 to right).  The unreduced matrix of a braid automorphism is its Jacobian;
@@ -29,7 +34,7 @@ from .errors import InvariantError
 from .fox import jacobian
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
-from .words import Word, WordError
+from .words import MAX_LETTERS, Word, WordError
 
 
 class GassnerConventionError(InvariantError, RuntimeError):
@@ -93,7 +98,8 @@ def braid_to_text(b):
 def parse_braid(text, strands):
     """Parse whitespace-separated tokens A[i,j] and A[i,j]^-1.
 
-    An optional integer exponent A[i,j]^k is accepted and expanded.
+    An optional integer exponent A[i,j]^k is accepted and expanded; a
+    word of more than MAX_LETTERS letters is rejected before it is built.
     """
     letters = []
     for tok in text.split():
@@ -119,34 +125,25 @@ def parse_braid(text, strands):
             raise WordError(f"bad braid token {tok!r}") from None
         if not (1 <= i < j <= strands):
             raise WordError(f"generator A[{i},{j}] out of range for {strands} strands")
+        if len(letters) + abs(power) > MAX_LETTERS:
+            raise WordError(f"braid word exceeds the limit of {MAX_LETTERS} letters")
         sign = 1 if power > 0 else -1
         letters.extend([(i, j, sign)] * abs(power))
     return BraidWord(strands, letters)
 
 
-def artin_automorphism(i, n, inverse=False):
-    """The free-group action of sigma_i (1-based, 1 <= i <= n-1)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"Artin generator index {i} out of range")
-    xi = Word.generator(i - 1, n)
-    xi1 = Word.generator(i, n)
-    images = [Word.generator(k, n) for k in range(n)]
-    if not inverse:
-        images[i - 1] = xi * xi1 * xi.inverse()
-        images[i] = xi
-    else:
-        images[i - 1] = xi1
-        images[i] = xi1.inverse() * xi * xi1
-    return Endomorphism(images)
-
-
-def _pure_generator_sigmas(i, j, sign):
-    """A[i,j]^sign as a list of signed Artin letters."""
-    wrap = list(range(j - 1, i, -1))
-    seq = [(k, 1) for k in wrap] + [(i, 1), (i, 1)] + [(k, -1) for k in reversed(wrap)]
+def pure_generator(i, j, sign, n):
+    """The free-group action of A[i,j]^sign (1 <= i < j <= n), in closed
+    form (see the module docstring)."""
+    xi, xj = Word.generator(i - 1, n), Word.generator(j - 1, n)
+    c, d = xi * xj, xj * xi
     if sign < 0:
-        seq = [(k, -s) for (k, s) in reversed(seq)]
-    return seq
+        c, d = c.inverse(), d.inverse()
+    g = c * d.inverse()
+    images = [Word.generator(k, n) for k in range(n)]
+    for k in range(i - 1, j):
+        images[k] = images[k].conjugated_by(c if k in (i - 1, j - 1) else g)
+    return Endomorphism(images)
 
 
 def braid_automorphism(b):
@@ -154,8 +151,7 @@ def braid_automorphism(b):
     n = b.strands
     phi = Endomorphism.identity(n)
     for (i, j, sign) in b.letters:
-        for (k, s) in _pure_generator_sigmas(i, j, sign):
-            phi = artin_automorphism(k, n, inverse=(s < 0)).compose(phi)
+        phi = pure_generator(i, j, sign, n).compose(phi)
     return phi
 
 

@@ -114,7 +114,7 @@ def commutator_fixed_coords(basis, fs):
     return normalize_vector([f2 * a - f1 * b for a, b in zip(k1, k2)], f1.nvars)
 
 
-def fixed_point_in_commutator(phi, verify=True, jmi=None):
+def fixed_point_in_commutator(phi, jmi=None):
     """A verified nontrivial fixed point inside the commutator subgroup,
     or None when no such fixed point exists.  `jmi` may pass a
     precomputed J - I."""
@@ -124,7 +124,7 @@ def fixed_point_in_commutator(phi, verify=True, jmi=None):
     g = realize_coords(u)
     if is_trivial(g):
         raise InternalCheckError("kernel vector realized to a trivial word")
-    if verify and not is_fixed(phi, g):
+    if not is_fixed(phi, g):
         raise InternalCheckError("kernel witness failed the oracle check")
     return g
 
@@ -137,7 +137,6 @@ class CosetOutcome:
     exponents: tuple
     status: str
     witness: Optional[Word] = None
-    verified: bool = False
 
 
 class CosetSolver:
@@ -179,7 +178,7 @@ class CosetSolver:
             self.mode = "rank_deficient"
             self.ideal_is_zero = not any(fs)
 
-    def solve(self, a, verify=True):
+    def solve(self, a):
         n = self.n
         a = tuple(a)
         if len(a) != n:
@@ -187,18 +186,18 @@ class CosetSolver:
         if not any(a):
             raise ValueError("the zero coset is the commutator-subgroup search")
         if self.mode == "unique":
-            return self._solve_unique(a, verify)
+            return self._solve_unique(a)
         if self.ideal_is_zero:
             return CosetOutcome(a, "none")
         wa = coset_word(a, n)
         d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
         if d.is_identity():
-            return CosetOutcome(a, "found", wa, True)
+            return CosetOutcome(a, "found", wa)
         if self.mode == "rank_deficient":
             return CosetOutcome(a, "undecided")
-        return self._solve_decoupled(a, wa, d, verify)
+        return self._solve_decoupled(a, wa, d)
 
-    def _solve_unique(self, a, verify):
+    def _solve_unique(self, a):
         n = self.n
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
         # t = (1 - x^-a) k / f is a ring vector iff the coset holds a fixed point
@@ -211,9 +210,9 @@ class CosetSolver:
             t.append(q)
         wa = coset_word(a, n)
         u = [q - shift * c for q, c in zip(t, word_coords(wa))]
-        return self._finish(a, wa, u, verify)
+        return self._finish(a, wa, u)
 
-    def _solve_decoupled(self, a, wa, d, verify):
+    def _solve_decoupled(self, a, wa, d):
         # Cramer on the pivot columns, a check against G, then the free
         # columns peeled off the membership row
         n = self.n
@@ -244,18 +243,18 @@ class CosetSolver:
             residual = low
         if not residual.is_zero():
             return CosetOutcome(a, "none")
-        return self._finish(a, wa, u, verify)
+        return self._finish(a, wa, u)
 
-    def _finish(self, a, wa, u, verify):
+    def _finish(self, a, wa, u):
         g = wa * realize_coords(u)
-        if verify and not is_fixed(self.phi, g):
+        if not is_fixed(self.phi, g):
             raise InternalCheckError("coset witness failed the oracle check")
-        return CosetOutcome(a, "found", g, verify)
+        return CosetOutcome(a, "found", g)
 
 
-def fixed_point_in_coset(phi, a, verify=True):
+def fixed_point_in_coset(phi, a):
     """Search the coset with abelian vector a (nonzero) for a fixed point."""
-    return CosetSolver(phi).solve(a, verify=verify)
+    return CosetSolver(phi).solve(a)
 
 
 def conjugates_fixed(phi, g):
@@ -278,12 +277,8 @@ def conjugates_fixed(phi, g):
 class FixReport:
     """Aggregated search results for one endomorphism."""
 
-    rank: int
-    ia: bool
-    det_vanishes: bool
     rank_defect_class: str
     witness_in_commutator: Optional[Word] = None
-    witness_verified: bool = False
     cosets: list = field(default_factory=list)
 
     def found_any(self):
@@ -309,25 +304,19 @@ def coset_box(n, bound):
     ]
 
 
-def search_fixed(phi, bound, verify=True, jmi=None):
+def search_fixed(phi, bound, jmi=None):
     """Run the commutator-subgroup detector plus every coset in the box.
 
-    `jmi` may pass a precomputed J - I; its determinant and rank are kept
-    on the matrix, so a caller that reports them computes them once."""
+    Every witness in the report has passed the word-problem oracle; a
+    witness that fails it raises InternalCheckError.  `jmi` may pass a
+    precomputed J - I; its rank is kept on the matrix, so a caller that
+    reports it computes it once."""
     jmi = _j_minus_i(phi, jmi)
-    n = phi.rank
     report = FixReport(
-        rank=n,
-        ia=True,
-        # the rank first: a singular elimination makes the determinant free
         rank_defect_class=rank_defect_class(phi, jmi),
-        det_vanishes=jmi.det().is_zero(),
+        witness_in_commutator=fixed_point_in_commutator(phi, jmi=jmi),
     )
-    witness = fixed_point_in_commutator(phi, verify=verify, jmi=jmi)
-    if witness is not None:
-        report.witness_in_commutator = witness
-        report.witness_verified = verify
     solver = CosetSolver(phi, jmi)
-    for a in coset_box(n, bound):
-        report.cosets.append(solver.solve(a, verify=verify))
+    for a in coset_box(phi.rank, bound):
+        report.cosets.append(solver.solve(a))
     return report

@@ -13,13 +13,14 @@ from metafix.braid import (
     gassner_reduced,
     image_is_generator_conjugate,
     parse_braid,
+    pure_generator,
 )
 from metafix.endo import Endomorphism, parse_endomorphism
 from metafix.fixpoint import fixed_point_in_commutator, is_fixed
 from metafix.fox import jacobian
 from metafix.laurent import parse_poly
 from metafix.matrices import LaurentMatrix
-from metafix.words import WordError, word_to_text
+from metafix.words import MAX_LETTERS, Word, WordError, word_to_text
 
 
 def signed_generators(n):
@@ -43,6 +44,43 @@ def test_parse_errors():
     for bad in ("A[2,1]", "A[0,2]", "A[1,4]", "B[1,2]", "A[1,2]^x"):
         with pytest.raises((WordError, ValueError)):
             parse_braid(bad, 3)
+    # the running letter count is checked before a power is expanded
+    for bad in (f"A[1,2]^{MAX_LETTERS + 1}", f"A[1,2] A[1,3]^-{MAX_LETTERS}"):
+        with pytest.raises(WordError, match="exceeds the limit"):
+            parse_braid(bad, 3)
+
+
+def artin_automorphism(i, n, inverse=False):
+    """The free-group action of sigma_i^+-1, the module's convention."""
+    xi = Word.generator(i - 1, n)
+    xi1 = Word.generator(i, n)
+    images = [Word.generator(k, n) for k in range(n)]
+    if not inverse:
+        images[i - 1] = xi * xi1 * xi.inverse()
+        images[i] = xi
+    else:
+        images[i - 1] = xi1
+        images[i] = xi1.inverse() * xi * xi1
+    return Endomorphism(images)
+
+
+def artin_expansion(i, j, sign, n):
+    """A[i,j]^sign as the composite of its 2(j - i) Artin letters
+    sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1."""
+    wrap = list(range(j - 1, i, -1))
+    seq = [(k, 1) for k in wrap] + [(i, 1), (i, 1)] + [(k, -1) for k in reversed(wrap)]
+    if sign < 0:
+        seq = [(k, -s) for (k, s) in reversed(seq)]
+    phi = Endomorphism.identity(n)
+    for (k, s) in seq:
+        phi = artin_automorphism(k, n, inverse=(s < 0)).compose(phi)
+    return phi
+
+
+def test_pure_generators_match_the_artin_expansion():
+    for n in range(2, 8):
+        for (i, j, s) in signed_generators(n):
+            assert pure_generator(i, j, s, n) == artin_expansion(i, j, s, n), (n, i, j, s)
 
 
 def test_empty_braid_is_identity():
@@ -129,3 +167,23 @@ def test_bridge_on_short_braids():
             count_vanishing += 1
             assert witness is not None and is_fixed(phi, witness)
     assert count_vanishing > 3
+
+
+def test_bridge_on_four_strands():
+    # reaches A[1,4], A[2,4] and the middle conjugator of A[1,4], which the
+    # 3-strand sweep never does
+    rng = random.Random(63)
+    braids = [random_braid(rng, 4, 4) for _ in range(60)]
+    used = {letter for b in braids for letter in b.letters}
+    assert used == set(signed_generators(4))
+    count_vanishing = 0
+    for b in braids:
+        phi = braid_automorphism(b)
+        jmi = gassner(phi) - LaurentMatrix.identity(4, 4)
+        vanishes = alexander_vanishes(b)
+        assert vanishes == (jmi.rank() <= 2), b
+        witness = fixed_point_in_commutator(phi, jmi=jmi)
+        if vanishes:
+            count_vanishing += 1
+            assert witness is not None and is_fixed(phi, witness), b
+    assert 0 < count_vanishing < len(braids)

@@ -122,12 +122,14 @@ def test_main_repeats_after_a_usage_error(capsys):
         ["verify", data_path("infinite_fix.endo"), "x2"],
     ]
     before = [run_cli(capsys, *argv) for argv in calls]
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--json"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    after = [run_cli(capsys, *argv) for argv in calls]
-    assert after == before
+    # a missing argument, and the oracle re-check, which has no switch
+    for bad in (["verify", "--json"], ["analyze", data_path("infinite_fix.endo"), "--no-verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        after = [run_cli(capsys, *argv) for argv in calls]
+        assert after == before
     assert [code for code, _, _ in before] == [0, 0]
 
 
@@ -148,6 +150,26 @@ def test_hostile_power_is_rejected(tmp_path, capsys):
     f.write_text("x1 -> x1 ([x1,x2])^100000000\nx2 -> x2\n")
     code, _, err = run_cli(capsys, "analyze", str(f))
     assert code == 2 and "exceeds" in err
+
+
+def test_hostile_braids_are_rejected_before_building(monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def built(b):
+        raise Built
+
+    monkeypatch.setattr(cli, "braid_automorphism", built)
+    for argv, cap in (
+        (["3", f"A[1,2]^{MAX_LETTERS + 1}"], MAX_LETTERS),
+        ([str(cli.MAX_STRANDS + 1), "1"], cli.MAX_STRANDS),
+    ):
+        code, out, err = run_cli(capsys, "braid", *argv)
+        assert code == 2 and out == "" and "error" in err and str(cap) in err, argv
+    # the caps themselves are accepted
+    for argv in (["3", f"A[1,2]^{MAX_LETTERS}"], [str(cli.MAX_STRANDS), "1"]):
+        with pytest.raises(Built):
+            main(["braid", *argv])
 
 
 def test_negative_bound_is_rejected(capsys):
@@ -206,16 +228,6 @@ def test_analyze_matches_golden_report(capsys, fixture):
     rep.pop("timing")
     rep["input"]["file"] = fixture + ".endo"
     assert rep == golden(f"analyze_{fixture}.json")
-
-
-@pytest.mark.parametrize("fixture", ["displaced_pair", "identity2", "infinite_fix", "rank_deficient"])
-def test_no_verify_keeps_statuses_and_witnesses(capsys, fixture):
-    # --no-verify skips only the oracle re-checks; `verified` may differ
-    def cosets(*flags):
-        rep = run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "1", "--json", *flags)
-        return [(c["a"], c["status"], c["witness"]) for c in rep["fix"]["cosets"]]
-
-    assert cosets("--no-verify") == cosets()
 
 
 def test_braid_matches_golden_report(capsys):
