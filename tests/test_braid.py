@@ -83,6 +83,20 @@ def test_pure_generators_match_the_artin_expansion():
             assert pure_generator(i, j, s, n) == artin_expansion(i, j, s, n), (n, i, j, s)
 
 
+def test_pure_generators_are_built_once():
+    # the cache hands out one shared endomorphism, so no use may change it
+    g = pure_generator(1, 3, -1, 4)
+    assert pure_generator(1, 3, -1, 4) is g
+    letters = [(1, 3, -1), (2, 4, 1), (1, 3, -1), (1, 3, -1)]
+    phi = braid_automorphism(BraidWord(4, letters))
+    assert pure_generator(1, 3, -1, 4) is g
+    assert g == artin_expansion(1, 3, -1, 4)
+    expected = Endomorphism.identity(4)
+    for (i, j, s) in letters:
+        expected = artin_expansion(i, j, s, 4).compose(expected)
+    assert phi == expected
+
+
 def test_empty_braid_is_identity():
     assert braid_automorphism(BraidWord(3)) == Endomorphism.identity(3)
 

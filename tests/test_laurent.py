@@ -229,6 +229,56 @@ def test_packed_kernel_matches_reference(case):
     assert (p * q).exponent_terms() == ref_mul(a, b)
 
 
+def sum_product_cases(n):
+    triple = st.tuples(st.sampled_from([1, -1]), term_maps(n), term_maps(n))
+    return st.lists(triple, min_size=1, max_size=4)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(st.just(n), sum_product_cases(n))))
+@example((2, [(1, {(1, 0): BIG, (0, -1): -3}, {(-1, 2): 5, (6, -6): 1}),
+              (-1, {(-1, 2): 5, (6, -6): 1}, {(1, 0): BIG, (0, -1): -3})]))
+def test_sum_products_matches_reference(case):
+    n, triples = case
+    expected = {}
+    for s, a, b in triples:
+        expected = ref_add(expected, ref_mul(a, b), s)
+    polys = [(s, LaurentPoly(n, a), LaurentPoly(n, b)) for s, a, b in triples]
+    assert LaurentPoly.sum_products(n, polys).exponent_terms() == expected
+
+
+def test_sum_products_rejects_bad_input():
+    x1 = LaurentPoly.variable(0, 2)
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_products(2, [(1, x1, parse_poly("x1", 3))])
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_products(2, [(2, x1, x1)])
+    assert LaurentPoly.sum_products(2, []) == 0
+
+
+units = st.sampled_from([1, -1, 2, -2, 3, -3])
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), term_maps(n), st.tuples(*[st.integers(-6, 6)] * n), units)))
+def test_monomial_division(case):
+    n, a, m, c = case
+    p, d = LaurentPoly(n, a), LaurentPoly.monomial(m, n, c)
+    assert (p * d).divide_exact(d) == p
+    if c not in (1, -1):
+        # one coefficient that c does not divide
+        assert (p * d + LaurentPoly.monomial(m, n)).divide_exact(d) is None
+
+
+def test_monomial_division_out_of_range_raises():
+    for c in (1, -1, 3):
+        top = LaurentPoly.monomial((_H - 1, 0), 2, c)
+        with pytest.raises(ExponentOverflowError):
+            top.divide_exact(LaurentPoly.monomial((-1, 0), 2, c))
+        bottom = LaurentPoly.monomial((0, -_H), 2, 3 * c)
+        with pytest.raises(ExponentOverflowError):
+            bottom.divide_exact(LaurentPoly.monomial((0, 1), 2, c))
+
+
 def ref_poly_to_text(p):
     """The formatter before its per-variable exponent tables."""
     if not p.terms:
@@ -295,16 +345,25 @@ def test_field_overflow_raises():
     x1, x2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
     top = LaurentPoly.monomial((_H - 1, 0), 2)
     half = LaurentPoly.monomial((_H // 2, 0), 2)
-    cases = [
-        lambda: top * x1,
-        lambda: (top + 1) * (x1 - 1),
-        lambda: LaurentPoly.monomial((0, -_H), 2) * x2**-1,
-        lambda: half * LaurentPoly.monomial((0, _H // 2), 2),  # only the degree overflows
-        lambda: LaurentPoly.monomial((_H,), 1),
+    products = [
+        (top, x1),
+        (top + 1, x1 - 1),
+        (LaurentPoly.monomial((0, -_H), 2), x2**-1),
+        (half, LaurentPoly.monomial((0, _H // 2), 2)),  # only the degree overflows
     ]
-    for case in cases:
-        with pytest.raises(ExponentOverflowError):
-            case()
+    for p, q in products:
+        # the product operator, and the fused sum alone and after a product
+        # whose terms stay in range
+        cases = [
+            lambda: p * q,
+            lambda: LaurentPoly.sum_products(2, [(-1, p, q)]),
+            lambda: LaurentPoly.sum_products(2, [(1, x1 + 1, x2 - 1), (1, p, q)]),
+        ]
+        for case in cases:
+            with pytest.raises(ExponentOverflowError):
+                case()
+    with pytest.raises(ExponentOverflowError):
+        LaurentPoly.monomial((_H,), 1)
     assert issubclass(ExponentOverflowError, InvariantError)
 
 
