@@ -33,8 +33,7 @@ from functools import lru_cache
 
 from .endo import Endomorphism
 from .errors import InvariantError
-from .fox import jacobian
-from .laurent import LaurentPoly
+from .fox import jacobian, membership_row
 from .matrices import LaurentMatrix
 from .words import MAX_LETTERS, Word, WordError
 
@@ -168,10 +167,6 @@ def gassner(b):
     return jacobian(braid_automorphism(b) if isinstance(b, BraidWord) else b)
 
 
-def _fixed_column(n):
-    return [LaurentPoly.variable(i, n) - 1 for i in range(n)]
-
-
 def gassner_reduced(b):
     """Reduced (n-1) x (n-1) matrix.
 
@@ -181,15 +176,14 @@ def gassner_reduced(b):
     """
     unreduced = gassner(b) if isinstance(b, BraidWord) else b
     n = unreduced.rows
-    xi = _fixed_column(n)
-    if unreduced.mul_vector(xi) != xi:
+    xi = membership_row(n)
+    if unreduced.mul_vector(xi) != list(xi):
         raise GassnerConventionError(
             "the column (x_i - 1) is not fixed by the unreduced matrix"
         )
-    last_var = LaurentPoly.variable(n - 1, n)
     quotients = []
     for j in range(n - 1):
-        q = unreduced.entries[n - 1][j].divide_exact(last_var - 1)
+        q = unreduced.entries[n - 1][j].divide_exact(xi[n - 1])
         if q is None:
             raise GassnerConventionError(
                 "last-row entry not divisible by (x_n - 1); basis change broke"

@@ -2,9 +2,10 @@
 
 An element of the commutator subgroup is determined by its coordinate
 vector u, and a ring vector u is the coordinate vector of such an element
-exactly when sum u_i (x_i - 1) = 0.  By the Fox chain rule (Fox, Ann.
-Math. 57, 1953), coords(image of w) = coords(w) * J for IA input, so the
-element is fixed iff u (J - I) = 0.  The fixed points inside the
+exactly when its membership sum u . (x - 1) = sum u_i (x_i - 1)
+(`fox.membership`) is 0.  By the Fox chain rule (Fox, Ann. Math. 57,
+1953), coords(image of w) = coords(w) * J for IA input, so the element
+is fixed iff u (J - I) = 0.  The fixed points inside the
 commutator subgroup are therefore the left kernel vectors k of J - I with
 f(k) = k . (x - 1) = 0.
 
@@ -43,7 +44,7 @@ routes are shapes of that kernel:
 - "decoupled": the rows of J - I for the fixed generators vanish and the
   others are independent.  Cramer's rule on the pivot rows of one
   elimination gives the other coordinates, and the free ones are peeled
-  off the membership row.
+  off the membership sum by x_i - 1 (`fox.peel`).
 - "rank_deficient": the rest.  If every f_j = 0, the membership row
   lies in the row space of G (over the fraction field the row space is
   the orthogonal complement of the kernel), the ideal of values f(k) is
@@ -63,10 +64,10 @@ from itertools import product
 from typing import Optional
 
 from .errors import InvariantError
-from .fox import jacobian, word_coords
+from .fox import jacobian, membership, peel, word_coords
 from .laurent import LaurentPoly
 from .magnus import MagnusElement, coset_word, is_trivial, realize_coords
-from .matrices import LaurentMatrix, cramer_solve, dot, normalize_vector
+from .matrices import LaurentMatrix, cramer_solve, normalize_vector
 from .words import Word
 
 
@@ -97,9 +98,7 @@ def left_kernel(jmi):
     basis = jmi.left_kernel_basis()
     if not basis or not all(any(k) for k in basis):
         raise InternalCheckError("left kernel basis of J - I is empty or has a zero vector")
-    n = jmi.rows
-    membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
-    return basis, [dot(k, membership, n) for k in basis]
+    return basis, [membership(k) for k in basis]
 
 
 def commutator_fixed_coords(basis, fs):
@@ -156,11 +155,10 @@ class CosetSolver:
         self.phi = phi
         self.n = n = phi.rank
         basis, fs = left_kernel(jmi)
-        self.G = jmi.transpose()
-        # the zero columns of G, the generators that phi fixes
+        # the zero columns of G = (J - I)^T, the generators that phi fixes
         self.free_cols = [i for i, row in enumerate(jmi.entries) if not any(row)]
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
-        self.sub = self.sub_rows = self.kernel = self.f = None
+        self.G = self.sub = self.sub_rows = self.kernel = self.f = None
         self.ideal_is_zero = False
         if len(basis) == 1 and fs[0]:
             self.mode = "unique"
@@ -170,6 +168,7 @@ class CosetSolver:
             # nonzero ones are independent and G's pivot rows give a
             # nonsingular block
             self.mode = "decoupled"
+            self.G = jmi.transpose()
             if self.pivot_cols:
                 self.sub_rows = sorted(self.G.echelon_pivots()[1])
                 self.sub = self.G.submatrix(self.sub_rows, self.pivot_cols)
@@ -214,7 +213,7 @@ class CosetSolver:
 
     def _solve_decoupled(self, a, wa, d):
         # Cramer on the pivot columns, a check against G, then the free
-        # columns peeled off the membership row
+        # columns peeled off the membership sum
         n = self.n
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
         tau = [-(shift * c) for c in d.coords]
@@ -229,18 +228,10 @@ class CosetSolver:
                 u[col] = val
         if any((lhs - r) for lhs, r in zip(self.G.mul_vector(u), tau)):
             return CosetOutcome(a, "none")
-        residual = LaurentPoly.zero(n)
-        for i in self.pivot_cols:
-            residual = residual - u[i] * (LaurentPoly.variable(i, n) - 1)
+        # u is still zero on the free columns, which must pay this residual
+        residual = -membership(u)
         for i in self.free_cols:
-            low = residual.subs_one(i)
-            diff = residual - low
-            if not diff.is_zero():
-                h = diff.divide_exact(LaurentPoly.variable(i, n) - 1)
-                if h is None:
-                    raise InternalCheckError("membership peeling division failed")
-                u[i] = h
-            residual = low
+            u[i], residual = peel(residual, i)
         if not residual.is_zero():
             return CosetOutcome(a, "none")
         return self._finish(a, wa, u)

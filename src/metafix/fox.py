@@ -7,12 +7,47 @@ abelianization of the prefix.  For every word w the coordinates satisfy
     sum_i  d_i(w) * (x_i - 1)  =  x^(abelianization of w) - 1,
 
 and for words u, v:  d_i(uv) = d_i(u) + u^a d_i(v).
+
+This module owns the row (x_1 - 1, ..., x_n - 1) of that identity and
+the two operations on it that the rest of the package uses: the
+membership sum  sum_i u_i (x_i - 1),  which vanishes exactly on the
+coordinate vectors of commutator-subgroup elements, and the peel of one
+polynomial by x_j - 1.  The row is built once per variable count, so
+each x_j - 1 keeps its divisor normal form across exact divisions.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .laurent import LaurentPoly, word_pass
-from .matrices import LaurentMatrix
+from .matrices import ExactDivisionError, LaurentMatrix, dot
+
+
+@lru_cache(maxsize=None)
+def membership_row(n):
+    """The row (x_1 - 1, ..., x_n - 1) in n variables, built once."""
+    return tuple(LaurentPoly.variable(i, n) - 1 for i in range(n))
+
+
+def membership(u):
+    """sum_i u_i (x_i - 1) for a vector of len(u) polynomials in len(u)
+    variables."""
+    n = len(u)
+    return dot(u, membership_row(n), n)
+
+
+def peel(p, j):
+    """(h, low) with p = h (x_{j+1} - 1) + low and low = p at x_{j+1} = 1,
+    for the 0-based variable index j.  Raises ExactDivisionError if the
+    division fails."""
+    low = p.subs_one(j)
+    h = p - low
+    if h:
+        h = h.divide_exact(membership_row(p.nvars)[j])
+        if h is None:
+            raise ExactDivisionError(f"peeling division by (x_{j + 1} - 1) failed")
+    return h, low
 
 
 def word_coords(w):
@@ -41,16 +76,11 @@ def jacobian(phi):
 
 def jacobian_row_identity_holds(phi, J=None):
     """Row i of the Jacobian contracts against (x_k - 1) to image_i^a - 1."""
-    n = phi.rank
     if J is None:
         J = jacobian(phi)
-    for i, y in enumerate(phi.images):
-        total = LaurentPoly.zero(n)
-        for k in range(n):
-            total = total + J.entries[i][k] * (LaurentPoly.variable(k, n) - 1)
-        if total != abelian_monomial(y) - 1:
-            return False
-    return True
+    return all(
+        membership(row) == abelian_monomial(y) - 1 for row, y in zip(J.entries, phi.images)
+    )
 
 
 def product_rule_holds(phi, psi):

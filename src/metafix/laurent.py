@@ -380,9 +380,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {_origin(self.nvars): 1}
-
     def __eq__(self, other):
         if isinstance(other, int):
             if other == 0:

@@ -9,14 +9,16 @@ package.
 The commutator subgroup is abelian and carries the module action of the
 Laurent ring by conjugation: a monomial x^m acts as conjugation by any
 word with abelianization m, and the action extends linearly.  On
-coordinates the action is plain multiplication.
+coordinates the action is plain multiplication.  A ring vector is the
+coordinate vector of such an element exactly when its membership sum
+(`fox.membership`) vanishes; `koszul_decompose` writes it over the
+elementary relations by peeling (`fox.peel`).
 """
 
 from __future__ import annotations
 
-from .fox import word_coords
+from .fox import membership, peel, word_coords
 from .laurent import LaurentPoly
-from .matrices import ExactDivisionError
 from .words import Word
 
 
@@ -69,11 +71,7 @@ class MagnusElement:
 
     def fundamental_identity_holds(self):
         """sum_i coords_i * (x_i - 1) == x^abelian - 1, exactly."""
-        n = self.rank
-        total = LaurentPoly.zero(n)
-        for i, u in enumerate(self.coords):
-            total = total + u * (LaurentPoly.variable(i, n) - 1)
-        return total == self._mono() - 1
+        return membership(self.coords) == self._mono() - 1
 
     def __eq__(self, other):
         if not isinstance(other, MagnusElement):
@@ -103,11 +101,7 @@ def words_equal(u, v):
 
 def is_module_vector(u):
     """Does the coordinate vector satisfy sum u_i (x_i - 1) = 0?"""
-    n = len(u)
-    total = LaurentPoly.zero(n)
-    for i, p in enumerate(u):
-        total = total + p * (LaurentPoly.variable(i, n) - 1)
-    return total.is_zero()
+    return not membership(u)
 
 
 def power_coords(r, u):
@@ -148,9 +142,9 @@ def koszul_decompose(u):
 
         u = sum c_ij * ((x_j - 1) eps_i - (x_i - 1) eps_j).
 
-    Works by peeling the last variable with a nonzero contribution: the
-    difference u_i - u_i|x_j=1 is exactly divisible by (x_j - 1), and the
-    evaluated vector is a module vector on fewer coordinates.  Raises
+    Works by peeling the last variable with a nonzero contribution (see
+    `fox.peel`): u_i - u_i|x_j=1 is exactly divisible by (x_j - 1), and
+    the evaluated vector is a module vector on fewer coordinates.  Raises
     ValueError when the input does not satisfy the defining constraint.
     """
     n = len(u)
@@ -162,17 +156,10 @@ def koszul_decompose(u):
     cur = list(u)
     out = {}
     for j in range(n - 1, 0, -1):
-        xj = LaurentPoly.variable(j, n)
         for i in range(j):
-            low = cur[i].subs_one(j)
-            diff = cur[i] - low
-            if not diff.is_zero():
-                h = diff.divide_exact(xj - 1)
-                if h is None:
-                    raise ExactDivisionError("peeling division failed")
+            h, cur[i] = peel(cur[i], j)
+            if h:
                 out[(i, j)] = h
-            cur[i] = low
-        cur[j] = LaurentPoly.zero(n)
     return out
 
 

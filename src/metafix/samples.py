@@ -5,6 +5,7 @@ are reproducible."""
 from __future__ import annotations
 
 from .endo import Endomorphism, parse_endomorphism
+from .fox import membership_row
 from .laurent import LaurentPoly
 from .words import Word
 
@@ -74,28 +75,15 @@ def random_rank_deficient_ia(rng, n, factors=2, conj_len=2):
 
 def random_module_vector(rng, n, entries=2, span=1, coeff=2):
     """A random combination of the elementary relation vectors."""
+    row = membership_row(n)
     u = [LaurentPoly.zero(n) for _ in range(n)]
     for _ in range(entries):
         i = rng.randrange(n - 1)
         j = rng.randrange(i + 1, n)
         c = random_poly(rng, n, terms=2, span=span, coeff=coeff)
-        u[i] = u[i] + c * (LaurentPoly.variable(j, n) - 1)
-        u[j] = u[j] - c * (LaurentPoly.variable(i, n) - 1)
+        u[i] = u[i] + c * row[j]
+        u[j] = u[j] - c * row[i]
     return u
-
-
-PROP_DISPLACED_PAIR = """\
-# no nontrivial fixed points: x1 -> x1 s, x2 -> x2 s^-1
-x1 -> x1 [x1,x2]
-x2 -> x2 [x1,x2]^-1
-"""
-
-PROP_INFINITE_FIX = """\
-# infinitely generated fixed-point group on three generators
-x1 -> x1 [x2,x3,x1]
-x2 -> x2
-x3 -> x3
-"""
 
 
 def displaced_pair_endo(s_text="[x1,x2]"):
@@ -103,7 +91,3 @@ def displaced_pair_endo(s_text="[x1,x2]"):
     return parse_endomorphism(
         f"x1 -> x1 {s_text}\nx2 -> x2 ({s_text})^-1"
     )
-
-
-def infinite_fix_endo():
-    return parse_endomorphism(PROP_INFINITE_FIX)

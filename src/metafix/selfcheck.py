@@ -11,8 +11,7 @@ import random
 
 from .endo import inner_automorphism
 from .fixpoint import fixed_point_in_commutator, left_kernel
-from .fox import jacobian, product_rule_holds, word_coords
-from .laurent import LaurentPoly
+from .fox import jacobian, membership_row, product_rule_holds, word_coords
 from .magnus import MagnusElement, is_module_vector, realize_coords
 from .matrices import LaurentMatrix
 from .samples import (
@@ -102,8 +101,7 @@ def _check_kernel_decides_stacked_rank(rng, cases):
         else:
             phi = random_rank_deficient_ia(rng, n) if k % 3 == 1 else random_ia(rng, n)
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-        membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
-        stacked = LaurentMatrix(n, [list(col) for col in zip(*jmi.entries)] + [membership])
+        stacked = LaurentMatrix(n, [*zip(*jmi.entries), membership_row(n)])
         rank = stacked.rank()
         _, fs = left_kernel(jmi)
         if (not any(fs)) != (rank == jmi.rank()):

@@ -152,10 +152,6 @@ def _check_size(size, what, position=None):
         raise WordError(f"{what} of {size} letters exceeds the limit of {MAX_LETTERS}", position)
 
 
-def commutator(u, v):
-    return u.commutator(v)
-
-
 def word_to_text(w):
     """Canonical text: runs of one generator collapse to xK^E."""
     if not w.letters:

@@ -9,6 +9,7 @@ import random
 import time
 
 from metafix.braid import BraidWord, alexander_vanishes, braid_automorphism, gassner
+from metafix.endo import parse_endomorphism
 from metafix.fixpoint import (
     conjugates_fixed,
     fixed_point_in_commutator,
@@ -21,13 +22,13 @@ from metafix.magnus import MagnusElement, is_module_vector, is_trivial, realize_
 from metafix.matrices import LaurentMatrix
 from metafix.samples import (
     displaced_pair_endo,
-    infinite_fix_endo,
     random_ia,
     random_module_vector,
     random_rank_deficient_ia,
     random_word,
 )
 from metafix.words import parse_word
+from tests.conftest import data_path
 
 
 def _criterion(num, name, budget_s):
@@ -152,7 +153,8 @@ _INFINITE_FIX_WITNESS = []
 
 def _infinite_fix_witness():
     if not _INFINITE_FIX_WITNESS:
-        phi = infinite_fix_endo()
+        with open(data_path("infinite_fix.endo")) as fh:
+            phi = parse_endomorphism(fh.read())
         w = fixed_point_in_commutator(phi)
         _INFINITE_FIX_WITNESS.append((phi, w))
     return _INFINITE_FIX_WITNESS[0]

@@ -10,12 +10,15 @@ from metafix.fox import (
     fox_derivative,
     jacobian,
     jacobian_row_identity_holds,
+    membership,
+    membership_row,
+    peel,
     product_rule_holds,
     word_coords,
 )
 from metafix.laurent import LaurentPoly, parse_poly
-from metafix.matrices import LaurentMatrix
-from metafix.samples import random_ia, random_word
+from metafix.matrices import ExactDivisionError, LaurentMatrix
+from metafix.samples import random_ia, random_module_vector, random_word
 from metafix.words import Word, parse_word
 
 
@@ -176,3 +179,67 @@ def test_product_rule_requires_ia():
     swap = Endomorphism([Word.generator(1, n), Word.generator(0, n)])
     with pytest.raises(ValueError):
         product_rule_holds(swap, Endomorphism.identity(n))
+
+
+# -- the membership row, its sum and the peel by x_j - 1 --------------------
+
+
+def ref_membership(u):
+    """sum u_i (x_i - 1), one variable and one product at a time."""
+    n = len(u)
+    total = LaurentPoly.zero(n)
+    for i, p in enumerate(u):
+        total = total + p * (LaurentPoly.variable(i, n) - 1)
+    return total
+
+
+def polys(n):
+    monos = st.tuples(*[st.integers(-4, 4)] * n)
+    terms = st.dictionaries(monos, st.integers(-50, 50).filter(bool), max_size=6)
+    return terms.map(lambda t: LaurentPoly(n, t))
+
+
+ranks = st.integers(1, 4)
+
+
+def test_membership_row_is_built_once():
+    for n in range(1, 5):
+        row = membership_row(n)
+        assert row is membership_row(n)
+        assert list(row) == [LaurentPoly.variable(i, n) - 1 for i in range(n)]
+
+
+@given(ranks.flatmap(lambda n: st.lists(polys(n), min_size=n, max_size=n)))
+def test_membership_matches_reference(u):
+    assert membership(u) == ref_membership(u)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-n, n).filter(bool), max_size=30))))
+def test_membership_of_word_coords_is_the_fundamental_identity(case):
+    n, letters = case
+    w = Word(n, letters)
+    assert membership(word_coords(w)) == abelian_monomial(w) - 1
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32))
+def test_membership_vanishes_on_module_vectors(n, seed):
+    u = random_module_vector(random.Random(seed), n, entries=3)
+    assert membership(u) == 0
+
+
+@given(ranks.flatmap(lambda n: st.tuples(polys(n), st.integers(0, n - 1))))
+def test_peel_splits_off_x_j_minus_1(case):
+    p, j = case
+    h, low = peel(p, j)
+    assert p == h * membership_row(p.nvars)[j] + low
+    assert low.subs_one(j) == low
+
+
+def test_failed_peel_is_an_exact_division_error(monkeypatch):
+    p = parse_poly("x1*x2 + 3*x2^-2", 2)
+    assert peel(p, 0)[0] == parse_poly("x2", 2)
+    monkeypatch.setattr(LaurentPoly, "divide_exact", lambda self, divisor: None)
+    with pytest.raises(ExactDivisionError):
+        peel(p, 1)
+    assert peel(parse_poly("x1 + 1", 2), 1) == (0, parse_poly("x1 + 1", 2))

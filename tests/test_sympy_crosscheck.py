@@ -1,0 +1,159 @@
+"""The exact arithmetic against sympy, an independent implementation of
+polynomial division, determinants and rank over Z[x_1, ..., x_n].
+
+A nonzero Laurent polynomial p is x^m P, where m holds the least exponent
+of each variable and P is a polynomial that no x_i divides.  Monomials
+are units, and x_i is prime in Z[x], so p divides g in the Laurent ring
+iff P divides G in Z[x]: exactly when sympy's division of G by P over ZZ
+leaves no remainder.  Scaling a row by a monomial scales the determinant
+by it and keeps the rank, so a matrix is compared row-cleared.
+"""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import example, given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from metafix.laurent import LaurentPoly  # noqa: E402
+from metafix.matrices import LaurentMatrix  # noqa: E402
+
+GENS = sympy.symbols("x1:5")
+
+
+def ring(n):
+    return sympy.ZZ[GENS[:n]]
+
+
+def least(polys, n):
+    """The least exponent of each variable over the terms of the polys."""
+    exps = [e for p in polys for e in p.exponent_terms()]
+    return tuple(min((e[i] for e in exps), default=0) for i in range(n))
+
+
+def cleared(p, shift):
+    """x^-shift p as an element of Z[x]; shift must clear every negative
+    exponent."""
+    r = ring(p.nvars).ring
+    return r.from_dict(
+        {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.exponent_terms().items()}
+    )
+
+
+def laurent(elem, shift, n):
+    """The exponent terms of x^shift elem, elem in Z[x]."""
+    return {tuple(a + b for a, b in zip(e, shift)): int(c) for e, c in dict(elem).items()}
+
+
+def polys(n, max_terms=4, span=3, coeff=6):
+    monos = st.tuples(*[st.integers(-span, span)] * n)
+    terms = st.dictionaries(monos, st.integers(-coeff, coeff).filter(bool), max_size=max_terms)
+    return terms.map(lambda t: LaurentPoly(n, t))
+
+
+def division_cases(n):
+    nonzero = polys(n).filter(bool)
+    return st.tuples(polys(n), nonzero, polys(n, max_terms=2))
+
+
+@given(st.integers(1, 3).flatmap(division_cases))
+# x^2 - 1 over 2x - 2: divisible over Q, not over Z
+@example((LaurentPoly(1, {}), LaurentPoly(1, {(1,): 2, (0,): -2}),
+          LaurentPoly(1, {(2,): 1, (0,): -1})))
+def test_divide_exact_matches_sympy(case):
+    q, d, r = case
+    n = q.nvars
+    # the product itself, against sympy's
+    g = q * d
+    mq, md = least([q], n), least([d], n)
+    prod = cleared(q, mq) * cleared(d, md)
+    assert g.exponent_terms() == laurent(prod, tuple(a + b for a, b in zip(mq, md)), n)
+    assert g.divide_exact(d) == q
+    # q d + r divides exactly when sympy's remainder vanishes
+    g = g + r
+    mg = least([g], n)
+    quot, rem = cleared(g, mg).div(cleared(d, md))
+    out = g.divide_exact(d)
+    assert (out is None) == bool(rem)
+    if out is not None:
+        assert out.exponent_terms() == laurent(quot, tuple(a - b for a, b in zip(mg, md)), n)
+
+
+def random_poly(rng, n, terms=3, span=2, coeff=4):
+    return LaurentPoly(
+        n,
+        {tuple(rng.randint(-span, span) for _ in range(n)): rng.randint(-coeff, coeff)
+         for _ in range(terms)},
+    )
+
+
+def random_matrix(rng, rows, cols, n, **kw):
+    return LaurentMatrix(
+        n, [[random_poly(rng, n, **kw) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+SMALL = {"terms": 2, "span": 1, "coeff": 2}
+
+
+def rank_at_most(rng, size, r, n):
+    """A size x size matrix of rank at most r: a product through r, of
+    small factors, as the products' degrees slow sympy down."""
+    return random_matrix(rng, size, r, n, **SMALL) * random_matrix(rng, r, size, n, **SMALL)
+
+
+def cleared_rows(m):
+    """(sum of the row shifts, the row-cleared matrix over Z[x])."""
+    n = m.nvars
+    shifts = [least(row, n) for row in m.entries]
+    rows = [[cleared(p, s) for p in row] for row, s in zip(m.entries, shifts)]
+    total = tuple(sum(s[i] for s in shifts) for i in range(n))
+    return total, DomainMatrix(rows, (m.rows, m.cols), ring(n))
+
+
+def sympy_det(m):
+    shift, dm = cleared_rows(m)
+    return laurent(dm.det(), shift, m.nvars)
+
+
+def sympy_rank(m):
+    # fraction-free, so faster than over the fraction field
+    return len(cleared_rows(m)[1].rref_den()[2])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_det_matches_sympy(n):
+    # sizes up to 4 expand by cofactors, 5 x 5 takes the Bareiss branch
+    rng = random.Random(70 + n)
+    for size in (1, 2, 3, 4, 5, 5, 5):
+        m = random_matrix(rng, size, size, n)
+        assert m.det().exponent_terms() == sympy_det(m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rank_of_rank_deficient_matrices_matches_sympy(n):
+    rng = random.Random(80 + n)
+    for size in (4, 5):
+        for r in range(1, size):
+            m = rank_at_most(rng, size, r, n)
+            assert m.rank() == sympy_rank(m) <= r
+            assert m.det() == 0 and not sympy_det(m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_vector_of_a_five_by_six_matrix_checks_in_sympy(n):
+    # rank 5 with six columns: the kernel vector is built from 5 x 5
+    # minors, which `det` takes by elimination
+    rng = random.Random(90 + n)
+    for _ in range(2):
+        m = random_matrix(rng, 5, 6, n, **SMALL)
+        assert m.rank() == sympy_rank(m) == 5
+        z = m.kernel_vector()
+        assert any(z)
+        mz = least(z, n)
+        col = DomainMatrix([[cleared(p, mz)] for p in z], (6, 1), ring(n))
+        assert (cleared_rows(m)[1] * col).is_zero_matrix
