@@ -34,6 +34,7 @@ from functools import lru_cache
 from .endo import Endomorphism
 from .errors import InvariantError
 from .fox import jacobian, membership_row
+from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
 from .words import MAX_LETTERS, Word, WordError
 
@@ -172,7 +173,9 @@ def gassner_reduced(b):
 
     Conjugates the unreduced matrix into the basis whose last vector is the
     fixed column (x_1 - 1, ..., x_n - 1), checks that the last column
-    becomes (0, ..., 0, 1), and drops the last row and column.
+    becomes (0, ..., 0, 1), and drops the last row and column.  Entry
+    (i, j) is entries[i][j] - (x_{i+1} - 1) q_j, with q_j the exact quotient
+    of the last row's entry j by x_n - 1, formed as one fused sum.
     """
     unreduced = gassner(b) if isinstance(b, BraidWord) else b
     n = unreduced.rows
@@ -189,13 +192,16 @@ def gassner_reduced(b):
                 "last-row entry not divisible by (x_n - 1); basis change broke"
             )
         quotients.append(q)
-    out = []
-    for i in range(n - 1):
-        row = []
-        for j in range(n - 1):
-            row.append(unreduced.entries[i][j] - xi[i] * quotients[j])
-        out.append(row)
-    return LaurentMatrix(unreduced.nvars, out)
+    nvars = unreduced.nvars
+    one = LaurentPoly.one(nvars)
+    out = [
+        [
+            LaurentPoly.sum_products(nvars, ((1, unreduced.entries[i][j], one), (-1, xi[i], q)))
+            for j, q in enumerate(quotients)
+        ]
+        for i in range(n - 1)
+    ]
+    return LaurentMatrix(nvars, out)
 
 
 def alexander_vanishes(b):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import gcd
 from operator import or_
 
@@ -172,7 +172,8 @@ def _sum_products(triples, n):
             continue
         if len(a) > len(b):
             a, b = b, a
-        b_items = list(b.items())
+        # with one outer term the items are read once: no list needed
+        b_items = b.items() if len(a) == 1 else list(b.items())
         for ka, va in a.items():
             ka -= origin
             if s < 0:
@@ -648,35 +649,69 @@ def parse_poly(text, nvars):
     return LaurentPoly(nvars, terms)
 
 
+# The most entries a text table holds; a full table is cleared, so no
+# input grows one beyond this.  The coordinates of perfbench's 32
+# verify-long words, a few thousand letters each, fill 3,500 to 3,900
+# entries over all tables.
+_TEXT_CAP = 1 << 14
+
+
+class _TextTable(dict):
+    """Text of a key, kept for the process: a missing key's text is made
+    by `make` on first use, after clearing the table if it is full."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= _TEXT_CAP:
+            self.clear()
+        text = self[key] = self.make(key)
+        return text
+
+
+# " + c" or " - |c|": a term's sign and coefficient, as it follows
+# another term.
+_HEADS = _TextTable(lambda c: f" - {-c}" if c < 0 else f" + {c}")
+
+
+def _piece(name, pos, field):
+    """Text of variable `name`'s exponent, read from its field at `pos`."""
+    e = (field >> pos) - _H
+    return "" if not e else f"*{name}" if e == 1 else f"*{name}^{e}"
+
+
+@lru_cache(maxsize=None)
+def _piece_columns(n):
+    """(field mask, piece table) for each variable of an n-variable key.
+    The table maps the masked key, the variable's field still in place,
+    to the piece "*xI^e" ("*xI" for e = 1, "" for e = 0)."""
+    out = []
+    for i in range(n):
+        pos = _W * (n - 1 - i)
+        out.append((_MASK << pos, _TextTable(partial(_piece, f"x{i + 1}", pos))))
+    return tuple(out)
+
+
 def poly_to_text(p):
     """Canonical textual form: graded-lex descending, explicit '*' and '^'.
 
-    Each variable keeps a table, for this call, from the field value of
-    its exponent to the text "xI^e*" ("xI*" for 1, "" for 0), so a
-    monomial is a few lookups and a coefficient of +-1 adds no text."""
+    The keys are sorted once.  Each term's head (" + c" or " - |c|") and
+    each variable's piece come from text tables kept for the process,
+    each holding at most _TEXT_CAP entries, and the terms are joined
+    column by column with no Python loop per term.  Replacing " 1*" by
+    " " then drops unit coefficients (no other place holds that text),
+    and the first term loses its leading " + "."""
     terms = p.terms
     if not terms:
         return "0"
-    n = p.nvars
-    fields = [(_W * (n - 1 - i), {_H: ""}, f"x{i + 1}") for i in range(n)]
-    out = []
-    for k in sorted(terms, reverse=True):
-        mono = ""
-        for pos, table, name in fields:
-            f = (k >> pos) & _MASK
-            text = table.get(f)
-            if text is None:
-                e = f - _H
-                text = table[f] = f"{name}*" if e == 1 else f"{name}^{e}*"
-            mono += text
-        c = terms[k]
-        if out:
-            out.append(" - " if c < 0 else " + ")
-        elif c < 0:
-            out.append("-")
-        if c == 1 or c == -1:
-            out.append(mono[:-1] if mono else "1")
-        else:
-            a = -c if c < 0 else c
-            out.append(f"{a}*{mono[:-1]}" if mono else str(a))
-    return "".join(out)
+    keys = sorted(terms, reverse=True)
+    columns = [
+        map(table.__getitem__, map(mask.__and__, keys))
+        for mask, table in _piece_columns(p.nvars)
+    ]
+    heads = map(_HEADS.__getitem__, map(terms.__getitem__, keys))
+    text = "".join(map("".join, zip(heads, *columns))).replace(" 1*", " ")
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -90,8 +90,13 @@ class MagnusElement:
 
 
 def is_trivial(w):
-    """Word problem: does the word represent the metabelian identity?"""
-    return MagnusElement.of_word(w).is_identity()
+    """Word problem: does the word represent the metabelian identity?
+
+    A word with a nonzero exponent sum is not, and is answered without
+    the Fox pass; otherwise it is trivial iff every coordinate vanishes."""
+    if any(w.exponent_sums()):
+        return False
+    return not any(word_coords(w))
 
 
 def words_equal(u, v):

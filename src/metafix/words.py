@@ -14,7 +14,8 @@ not a letter-by-letter pass (`junction`).
 
 from __future__ import annotations
 
-from itertools import groupby
+import re
+from functools import lru_cache
 
 # The longest word a power or the parser may build.  Checked before each
 # word is built, so a hostile exponent or nesting fails at once; it also
@@ -152,17 +153,38 @@ def _check_size(size, what, position=None):
         raise WordError(f"{what} of {size} letters exceeds the limit of {MAX_LETTERS}", position)
 
 
+@lru_cache(maxsize=16)
+def _letter_tokens(rank):
+    """Tokens indexed by letter: "xK" at K and, by negative indexing,
+    "xK^-1" at -K, for 1 <= K <= rank."""
+    return (
+        ("",)
+        + tuple(f"x{k}" for k in range(1, rank + 1))
+        + tuple(f"x{k}^-1" for k in range(rank, 0, -1))
+    )
+
+
+# A run of two or more equal tokens; the lookahead keeps x1 from
+# matching the start of x11 or x1^-1.
+_RUN_RE = re.compile(r"(x[0-9]+(?:\^-1)?)(?: \1(?![0-9^]))+")
+
+
+def _collapse(m):
+    # a run of k tokens, with the k - 1 spaces between them
+    token = m[1]
+    k = (m.end() - m.start() + 1) // (len(token) + 1)
+    return f"{token[:-1]}{k}" if token.endswith("^-1") else f"{token}^{k}"
+
+
 def word_to_text(w):
-    """Canonical text: runs of one generator collapse to xK^E."""
+    """Canonical text: runs of one generator collapse to xK^E.
+
+    The per-letter tokens are joined, then one regex substitution
+    collapses each run of two or more equal tokens, so the Python
+    callback runs once per run, not once per letter."""
     if not w.letters:
         return "1"
-    parts = []
-    for letter, run in groupby(w.letters):
-        e = len(list(run))
-        if letter < 0:
-            letter, e = -letter, -e
-        parts.append(f"x{letter}" if e == 1 else f"x{letter}^{e}")
-    return " ".join(parts)
+    return _RUN_RE.sub(_collapse, " ".join(map(_letter_tokens(w.rank).__getitem__, w.letters)))
 
 
 def _tokenize(text):

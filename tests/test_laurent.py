@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 from hypothesis import example, given
@@ -10,9 +11,12 @@ from metafix.laurent import (
     ExponentOverflowError,
     LaurentPoly,
     _H,
+    _HEADS,
     _MASK,
+    _TEXT_CAP,
     _W,
     _pack,
+    _piece_columns,
     _unpack,
     parse_poly,
     poly_to_text,
@@ -280,7 +284,7 @@ def test_monomial_division_out_of_range_raises():
 
 
 def ref_poly_to_text(p):
-    """The formatter before its per-variable exponent tables."""
+    """The per-term formatter that the text tables replace."""
     if not p.terms:
         return "0"
     n = p.nvars
@@ -309,19 +313,59 @@ def ref_poly_to_text(p):
     return "".join(pieces)
 
 
-units_and_big = st.sampled_from([1, -1]) | st.integers(-(10**31), 10**31).filter(bool)
+# coefficients whose text starts or ends in 1, units included
+ones_texts = [1, -1, 10, -10, 11, -11, 21, -21, 10**30 + 1, -(10**30 + 1)]
+coefficients = st.sampled_from(ones_texts) | st.integers(-(10**31), 10**31).filter(bool)
 
 
-@given(ranks.flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
-    st.tuples(*[st.integers(-40, 40)] * n), units_and_big, max_size=8))))
+def exponent_vectors(n):
+    small_or_extreme = st.integers(-40, 40) | st.sampled_from([_H - 1, -(_H - 1)])
+    return st.tuples(*[small_or_extreme] * n).filter(lambda e: -_H <= sum(e) < _H)
+
+
+def many_terms(n, count, seed):
+    """`count` terms around the origin, the constant term among them, with
+    coefficients taken in turn from `ones_texts` and a few others."""
+    rng = random.Random(seed)
+    coeffs = cycle(ones_texts + [2, -3, 99])
+    terms = {(0,) * n: 1}
+    while len(terms) < count:
+        terms[tuple(rng.randint(-12, 12) for _ in range(n))] = next(coeffs)
+    return terms
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(exponent_vectors(n), coefficients, max_size=12))))
 @example((1, {}))
 @example((1, {(0,): -1}))
 @example((3, {(0, 0, 0): 10**30, (1, -1, 0): -1, (-2, 0, 1): 1}))
 @example((4, {(0, 0, 0, 0): -(10**30), (0, 0, 0, 1): 1, (-1, -1, -1, -1): -1}))
+# a constant term followed by terms of negative degree
+@example((2, {(0, 0): 1, (-1, 0): -1, (0, -2): 11}))
+@example((2, {(0, 0): -1, (0, -1): 1, (-3, 1): -21}))
+@example((3, {(1, 0, 0): 10, (0, 0, 0): 10**30 + 1, (0, 0, -1): 1}))
+# exponents at the edge of the packed field range
+@example((2, {(_H - 1, -(_H - 1)): 1, (-(_H - 1), 0): -1, (0, _H - 1): 21}))
+@example((6, {(_H - 1, 0, 0, 0, 0, -(_H - 1)): -1, (0, -(_H - 1), 0, 0, 0, 0): 11,
+              (0, 0, 0, 0, 0, 0): -10, (0, 0, 0, 1, -1, 0): 1}))
+# a few hundred terms
+@example((2, many_terms(2, 300, 1)))
+@example((4, many_terms(4, 400, 2)))
+@example((6, many_terms(6, 250, 3)))
 def test_poly_to_text_matches_reference(case):
     n, terms = case
     p = LaurentPoly(n, terms)
     assert poly_to_text(p) == ref_poly_to_text(p)
+
+
+def test_text_tables_stay_within_their_cap():
+    # more distinct exponents of x2, and more distinct coefficients, than
+    # one table holds
+    count = _TEXT_CAP + 100
+    p = LaurentPoly(2, {(1, e - count // 2): e + 2 for e in range(count)})
+    assert poly_to_text(p) == ref_poly_to_text(p)
+    tables = [table for _, table in _piece_columns(2)] + [_HEADS]
+    assert all(0 < len(table) <= _TEXT_CAP for table in tables)
 
 
 @given(ranks.flatmap(lambda n: st.tuples(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from metafix import magnus
 from metafix.errors import InvariantError
 from metafix.fox import word_coords
 from metafix.laurent import LaurentPoly, parse_poly
@@ -166,3 +167,19 @@ def test_failed_peeling_division_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "divide_exact", lambda self, divisor: None)
     with pytest.raises(InvariantError, match="peeling"):
         koszul_decompose(u)
+
+
+def test_is_trivial_runs_no_fox_pass_on_nonzero_exponent_sums(monkeypatch):
+    passes = []
+
+    def counted(w):
+        passes.append(w)
+        return word_coords(w)
+
+    monkeypatch.setattr(magnus, "word_coords", counted)
+    for text in ("x1", "x1^2 x2^-1", "[x1,x2] x3", "[[x1,x2],[x1,x3]] x2^-5"):
+        assert not is_trivial(parse_word(text, 3))
+    assert passes == []
+    assert is_trivial(parse_word("[[x1,x2],[x1,x3]]", 3))
+    assert not is_trivial(parse_word("[x1,x2]", 3))
+    assert len(passes) == 2

@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given
@@ -188,3 +189,40 @@ def test_exponent_sums_match_a_loop(case):
     for L in w.letters:
         sums[abs(L) - 1] += 1 if L > 0 else -1
     assert w.exponent_sums() == tuple(sums)
+
+
+# -- text against the letter-by-letter formatter ------------------------------
+
+
+def ref_word_to_text(w):
+    """The groupby formatter that the joined tokens and run regex replace."""
+    if not w.letters:
+        return "1"
+    parts = []
+    for letter, run in groupby(w.letters):
+        e = len(list(run))
+        if letter < 0:
+            letter, e = -letter, -e
+        parts.append(f"x{letter}" if e == 1 else f"x{letter}^{e}")
+    return " ".join(parts)
+
+
+def runs(n):
+    """(letter, run length) pairs, short runs mostly, some long ones."""
+    letter = st.integers(-n, n).filter(bool)
+    length = st.integers(1, 3) | st.integers(50, 1500)
+    return st.lists(st.tuples(letter, length), max_size=20)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), runs(n))))
+@example((2, []))
+@example((12, [(1, 1), (11, 1), (12, 2), (1, 3), (-11, 1), (-1, 2), (-12, 1), (10, 1)]))
+@example((12, [(11, 1), (1, 1), (-12, 1), (-1, 1), (11, 2), (1, 11)]))
+@example((2, [(1, 1), (-2, 1)] * 50))
+@example((3, [(-3, 1000), (2, 1), (-3, 999)]))
+def test_word_to_text_matches_reference(case):
+    n, pairs = case
+    w = Word(n, [letter for letter, length in pairs for _ in range(length)])
+    text = word_to_text(w)
+    assert text == ref_word_to_text(w)
+    assert parse_word(text, n) == w
