@@ -40,7 +40,15 @@ routes are shapes of that kernel:
   membership row has full column rank.  The kernel is a line R k0 and f
   is nonzero on every kernel vector k.  Coset a holds a fixed point iff f
   divides (1 - x^-a) k_i for every i, and then the unique solution is
-  u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.
+  u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.  Most cosets
+  are "none" by a width screen first: over a domain the Newton polytope
+  of a product is the Minkowski sum of its factors' (Ostrowski), so the
+  width in a direction w, max - min of w . e over the exponents e, adds
+  under products.  The width of 1 - x^-a is |w . a|, so f | (1 - x^-a)
+  k_i with k_i nonzero forces width_w(f) <= |w . a| + width_w(k_i).
+  Each gap width_w(f) - width_w(k_i) is computed once, for w in e_j and
+  e_j +- e_k, and a coset with |w . a| below one of them takes no
+  division.
 - "decoupled": the rows of J - I for the fixed generators vanish and the
   others are independent.  Cramer's rule on the pivot rows of one
   elimination gives the other coordinates, and the free ones are peeled
@@ -49,7 +57,13 @@ routes are shapes of that kernel:
   lies in the row space of G (over the fraction field the row space is
   the orthogonal complement of the kernel), the ideal of values f(k) is
   zero and every coset is "none".  Otherwise a coset is "found" when
-  w_a itself is fixed and "undecided" when not.
+  w_a itself is fixed and "undecided" when not.  By the chain rule
+  coords((image of w) * w^-1) = coords(w) (J - I), so w_a is not fixed
+  when coords(w_a) (J - I) is nonzero at one point P modulo the prime
+  2^61 - 1.  J - I at P is evaluated once; a coset whose value there is
+  nonzero is "undecided" without applying phi, and the rest take the
+  oracle check.  Evaluation at P is a ring map, so P sets only how many
+  cosets take that check, never an answer.
 
 That direct check reads the oracle element of the difference word
 d = (image of w_a) * w_a^-1, which is the identity exactly when w_a is
@@ -60,19 +74,44 @@ side of the "decoupled" system is -x^-a * coords(d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
+from operator import mul, sub
 from typing import Optional
 
 from .errors import InvariantError
 from .fox import jacobian, membership, peel, word_coords
-from .laurent import LaurentPoly
-from .magnus import MagnusElement, coset_word, is_trivial, realize_coords
+from .laurent import LaurentPoly, word_pass_mod
+from .magnus import MagnusElement, coset_letters, coset_word, is_trivial, realize_coords
 from .matrices import LaurentMatrix, cramer_solve, normalize_vector
 from .words import Word
 
 
 class InternalCheckError(InvariantError, RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
+
+
+# The prime and the point of the chain-rule screen: P_i lies in
+# [2, p - 1], spread by a fixed odd multiplier, so x_i - 1 does not
+# vanish there and every P_i is a unit mod p.
+SCREEN_PRIME = (1 << 61) - 1
+
+
+@lru_cache(maxsize=16)
+def screen_point(n):
+    """The point P at which the "rank_deficient" screen evaluates."""
+    return tuple(2 + 0x9E3779B97F4A7C15 * (i + 1) % (SCREEN_PRIME - 2) for i in range(n))
+
+
+@lru_cache(maxsize=16)
+def width_directions(n):
+    """e_j and e_j +- e_k (j < k): the directions of the width screen."""
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    out = list(unit)
+    for j, k in combinations(unit, 2):
+        out.append(tuple(map(sum, zip(j, k))))
+        out.append(tuple(b - c for b, c in zip(j, k)))
+    return tuple(out)
 
 
 def is_fixed(phi, g):
@@ -143,11 +182,16 @@ class CosetSolver:
 
     The constructor does all the linear algebra of the chosen route (see
     the module docstring) from the kernel basis of G and its values f:
-    the kernel vector k and f = k . (x - 1) on "unique", the determinant
-    and adjugate of the square subsystem on "decoupled", and on
-    "rank_deficient" whether the ideal is zero.  A query then costs at
-    most n exact divisions, a few dot products, or one oracle check of
-    w_a.  `jmi` may pass a precomputed J - I.
+    the kernel vector k, f = k . (x - 1) and the width gaps of f over k
+    on "unique", the determinant and adjugate of the square subsystem on
+    "decoupled", and on "rank_deficient" whether the ideal is zero and,
+    if not, J - I at the screen point.  A "unique" query whose |w . a|
+    lies below a gap is "none" by Ostrowski's theorem, and a
+    "rank_deficient" one whose coords(w_a) (J - I) is nonzero at the
+    point is "undecided" by the Fox chain rule; neither builds a
+    polynomial or a word.  Any other query costs at most n exact
+    divisions, a few dot products, or one oracle check of w_a.  `jmi`
+    may pass a precomputed J - I.
     """
 
     def __init__(self, phi, jmi=None):
@@ -160,9 +204,15 @@ class CosetSolver:
         self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
         self.G = self.sub = self.sub_rows = self.kernel = self.f = None
         self.ideal_is_zero = False
+        self.width_gaps = self.columns_at_point = None
         if len(basis) == 1 and fs[0]:
             self.mode = "unique"
             self.kernel, self.f = basis[0], fs[0]
+            dirs = width_directions(n)
+            low = map(min, zip(*(k.widths(dirs) for k in self.kernel if k)))
+            self.width_gaps = [
+                (w, gap) for w, gap in zip(dirs, map(sub, self.f.widths(dirs), low)) if gap > 0
+            ]
         elif n - len(basis) == len(self.pivot_cols):
             # G has that rank; zero columns add nothing to it, so the
             # nonzero ones are independent and G's pivot rows give a
@@ -176,6 +226,14 @@ class CosetSolver:
         else:
             self.mode = "rank_deficient"
             self.ideal_is_zero = not any(fs)
+            if not self.ideal_is_zero:
+                # row i of J - I at the point: the Fox pass over image i,
+                # evaluated there, less the identity's row
+                point = screen_point(n)
+                rows = [word_pass_mod(y.letters, point, SCREEN_PRIME) for y in phi.images]
+                for i, row in enumerate(rows):
+                    row[i] -= 1
+                self.columns_at_point = list(zip(*rows))
 
     def solve(self, a):
         n = self.n
@@ -188,6 +246,8 @@ class CosetSolver:
             return self._solve_unique(a)
         if self.ideal_is_zero:
             return CosetOutcome(a, "none")
+        if self.columns_at_point is not None and self._moved_at_point(a):
+            return CosetOutcome(a, "undecided")
         wa = coset_word(a, n)
         d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
         if d.is_identity():
@@ -196,8 +256,17 @@ class CosetSolver:
             return CosetOutcome(a, "undecided")
         return self._solve_decoupled(a, wa, d)
 
+    def _moved_at_point(self, a):
+        """Is coords(w_a) (J - I), the coordinate vector of
+        (image of w_a) * w_a^-1, nonzero at the screen point?"""
+        c = word_pass_mod(coset_letters(a), screen_point(self.n), SCREEN_PRIME)
+        return any(sum(map(mul, c, col)) % SCREEN_PRIME for col in self.columns_at_point)
+
     def _solve_unique(self, a):
         n = self.n
+        for w, gap in self.width_gaps:
+            if abs(sum(map(mul, w, a))) < gap:
+                return CosetOutcome(a, "none")
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
         # t = (1 - x^-a) k / f is a ring vector iff the coset holds a fixed point
         top = 1 - shift
@@ -271,11 +340,6 @@ class FixReport:
     rank_defect_class: str
     witness_in_commutator: Optional[Word] = None
     cosets: list = field(default_factory=list)
-
-    def found_any(self):
-        if self.witness_in_commutator is not None:
-            return True
-        return any(c.status == "found" for c in self.cosets)
 
 
 def rank_defect_class(phi, jmi=None):

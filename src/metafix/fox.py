@@ -50,9 +50,11 @@ def peel(p, j):
     return h, low
 
 
-def word_coords(w):
-    """All abelianized derivatives of a word, as a list of polynomials."""
-    return word_pass(w.letters, w.rank)
+def word_coords(w, abelian=False):
+    """All abelianized derivatives of a word, as a list of polynomials;
+    with `abelian`, the pair of its exponent sums and that list, from the
+    same pass."""
+    return word_pass(w.letters, w.rank, abelian)
 
 
 def fox_derivative(w, i):

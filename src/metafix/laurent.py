@@ -47,7 +47,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import gcd
-from operator import or_
+from operator import add, or_
 
 from .errors import InvariantError
 
@@ -197,12 +197,14 @@ def _sum_products(triples, n):
     return out
 
 
-def word_pass(letters, n):
+def word_pass(letters, n, abelian=False):
     """One left-to-right pass computing all abelianized derivatives.
 
     `letters` is a sequence of signed 1-based generator indices.  Returns
-    the list of the n derivative polynomials.  The running abelianization
-    of the prefix is one key, moved by the generator's key step per letter.
+    the list of the n derivative polynomials; with `abelian`, the pair of
+    the word's exponent sums and that list.  The running abelianization
+    of the prefix is one key, moved by the generator's key step per
+    letter, so the pass ends with the word's exponent sums.
     """
     # Partial exponent sums and degrees never exceed the word length.
     if len(letters) >= _H:
@@ -230,7 +232,33 @@ def word_pass(letters, n):
                 d[acc] = c
             else:
                 del d[acc]
-    return [LaurentPoly._raw(n, d) for d in coords]
+    coords = [LaurentPoly._raw(n, d) for d in coords]
+    return (_unpack(acc, n), coords) if abelian else coords
+
+
+@lru_cache(maxsize=64)
+def _inverses(point, p):
+    return [pow(v, -1, p) for v in point]
+
+
+def word_pass_mod(letters, point, p):
+    """`word_pass` evaluated at x = point modulo the prime p, as a list of
+    residues.  Evaluation is a ring map to the integers mod p when every
+    point[i] is nonzero mod p, so a nonzero residue proves that the
+    derivative is a nonzero polynomial."""
+    inv = _inverses(point, p)
+    out = [0] * len(point)
+    m = 1
+    for L in letters:
+        if L > 0:
+            i = L - 1
+            out[i] += m
+            m = m * point[i] % p
+        else:
+            i = -L - 1
+            m = m * inv[i] % p
+            out[i] -= m
+    return [v % p for v in out]
 
 
 class LaurentPoly:
@@ -436,6 +464,34 @@ class LaurentPoly:
                     v *= p**e
             total += v
         return total
+
+    def widths(self, directions):
+        """For each integer vector w in `directions`, max - min of w . e
+        over the exponents e of the terms: the widths of the Newton
+        polytope.  Widths add under products (Ostrowski: over a domain
+        the Newton polytope of a product is the Minkowski sum of the
+        factors' polytopes)."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no Newton polytope")
+        n = self.nvars
+        if any(len(w) != n for w in directions):
+            raise ValueError("direction of wrong dimension")
+        if len(self.terms) == 1:
+            return [0] * len(directions)
+        # one list per variable: its field in every key, the exponent plus
+        # the offset _H; the offsets add the same constant to w . e in
+        # every term, which max - min drops
+        keys = list(self.terms)
+        cols = [[(k >> pos) & _MASK for k in keys] for pos in range(_W * (n - 1), -1, -_W)]
+        out = []
+        for w in directions:
+            vals = None
+            for c, col in zip(w, cols):
+                if c:
+                    col = col if c == 1 else [c * e for e in col]
+                    vals = col if vals is None else list(map(add, vals, col))
+            out.append(0 if vals is None else max(vals) - min(vals))
+        return out
 
     def subs_one(self, i):
         """Substitute x_{i+1} = 1 (variable count is preserved)."""

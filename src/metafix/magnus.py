@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .fox import membership, peel, word_coords
 from .laurent import LaurentPoly
-from .words import Word
+from .words import Word, check_size
 
 
 class MagnusElement:
@@ -36,7 +36,8 @@ class MagnusElement:
 
     @classmethod
     def of_word(cls, w):
-        return cls(w.rank, w.exponent_sums(), word_coords(w))
+        """The pair of a word, both parts from one Fox pass."""
+        return cls(w.rank, *word_coords(w, abelian=True))
 
     @classmethod
     def identity(cls, rank):
@@ -69,10 +70,6 @@ class MagnusElement:
     def is_identity(self):
         return all(a == 0 for a in self.abelian) and all(u.is_zero() for u in self.coords)
 
-    def fundamental_identity_holds(self):
-        """sum_i coords_i * (x_i - 1) == x^abelian - 1, exactly."""
-        return membership(self.coords) == self._mono() - 1
-
     def __eq__(self, other):
         if not isinstance(other, MagnusElement):
             return NotImplemented
@@ -99,31 +96,26 @@ def is_trivial(w):
     return not any(word_coords(w))
 
 
-def words_equal(u, v):
-    """Equality of two words in the free metabelian group."""
-    return is_trivial(u * v.inverse())
-
-
 def is_module_vector(u):
     """Does the coordinate vector satisfy sum u_i (x_i - 1) = 0?"""
     return not membership(u)
 
 
-def power_coords(r, u):
-    """Coordinates of r^u for r in the commutator subgroup and a ring
-    scalar u: the action is componentwise multiplication."""
-    if any(r.exponent_sums()):
-        raise ValueError("base word is not in the commutator subgroup")
-    return [u * c for c in word_coords(r)]
+def coset_letters(exponents):
+    """The letters of x1^a1 ... xn^an, which are freely reduced; each
+    power is held to the limit of `Word.__pow__`."""
+    out = []
+    for i, a in enumerate(exponents, start=1):
+        check_size(abs(a), "power")
+        out += [i if a > 0 else -i] * abs(a)
+    return tuple(out)
 
 
 def coset_word(exponents, rank):
     """Canonical representative x1^a1 ... xn^an of an abelian vector."""
-    out = Word.identity(rank)
-    for i, a in enumerate(exponents):
-        if a:
-            out = out * (Word.generator(i, rank) ** a)
-    return out
+    if len(exponents) != rank:
+        raise ValueError("exponent vector of wrong length")
+    return Word._raw(rank, coset_letters(exponents))
 
 
 def module_power_word(r, u):

@@ -108,7 +108,7 @@ class Word:
         while 2 * t + 1 < len(letters) and letters[t] == -letters[-1 - t]:
             t += 1
         core = letters[t : len(letters) - t]
-        _check_size(2 * t + abs(k) * len(core), "power")
+        check_size(2 * t + abs(k) * len(core), "power")
         if k < 0:
             core = tuple(-L for L in reversed(core))
         if not k or not core:
@@ -148,7 +148,8 @@ class Word:
         return f"Word({self.rank}, {word_to_text(self)!r})"
 
 
-def _check_size(size, what, position=None):
+def check_size(size, what, position=None):
+    """Raise WordError before a `what` of `size` letters passes MAX_LETTERS."""
     if size > MAX_LETTERS:
         raise WordError(f"{what} of {size} letters exceeds the limit of {MAX_LETTERS}", position)
 
@@ -246,7 +247,7 @@ def parse_word(text, rank):
         while pos < len(tokens) and tokens[pos][0] not in stoppers:
             at = tokens[pos][2]
             factor = parse_factor()
-            _check_size(len(out) + len(factor), "product", at)
+            check_size(len(out) + len(factor), "product", at)
             out = out * factor
         return out
 
@@ -274,7 +275,7 @@ def parse_word(text, rank):
                 raise WordError("a commutator needs at least two entries", at)
             atom = entries[0]
             for e in entries[1:]:
-                _check_size(2 * (len(atom) + len(e)), "commutator", at)
+                check_size(2 * (len(atom) + len(e)), "commutator", at)
                 atom = atom.commutator(e)
         elif kind == "(":
             pos += 1

@@ -6,6 +6,7 @@ import pytest
 from metafix.braid import BraidWord, braid_automorphism
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
 from metafix.fixpoint import (
+    SCREEN_PRIME,
     CosetOutcome,
     CosetSolver,
     InternalCheckError,
@@ -17,10 +18,12 @@ from metafix.fixpoint import (
     is_fixed,
     left_kernel,
     rank_defect_class,
+    screen_point,
     search_fixed,
+    width_directions,
 )
 from metafix.fox import jacobian, word_coords
-from metafix.laurent import LaurentPoly
+from metafix.laurent import LaurentPoly, word_pass_mod
 from metafix.magnus import (
     MagnusElement,
     coset_word,
@@ -34,10 +37,12 @@ from metafix.samples import (
     random_ia,
     random_poly,
     random_rank_deficient_ia,
+    random_word,
 )
 from metafix.words import Word, parse_word
 from tests.conftest import data_path
-from tests.test_acceptance import _is_unit_multiple
+from tests.test_acceptance import _is_unit_multiple, found_any
+from tests.test_laurent import ref_width
 
 
 # The commutator-subgroup detector before it read the kernel of J - I: a
@@ -244,7 +249,7 @@ def test_search_identity_finds_everything():
     rep = search_fixed(Endomorphism.identity(2), 1)
     assert rep.witness_in_commutator is not None
     assert all(c.status == "found" for c in rep.cosets)
-    assert rep.found_any()
+    assert found_any(rep)
 
 
 def test_search_displaced_pair_finds_nothing(displaced_pair):
@@ -252,7 +257,7 @@ def test_search_displaced_pair_finds_nothing(displaced_pair):
     assert rep.rank_defect_class == "rank=n-1"
     assert rep.witness_in_commutator is None
     assert all(c.status == "none" for c in rep.cosets)
-    assert not rep.found_any()
+    assert not found_any(rep)
 
 
 def test_search_report_shape(infinite_fix):
@@ -460,6 +465,101 @@ def test_zero_ideal_decides_every_coset_without_applying_phi(monkeypatch, conjug
     box = coset_box(n, 1)
     assert [solver.solve(a).status for a in box] == ["none"] * len(box)
     assert calls == []
+
+
+def at_point(p, point):
+    """An exact polynomial reduced at the point, modulo SCREEN_PRIME."""
+    total = 0
+    for m, c in p.exponent_terms().items():
+        v = c
+        for x, e in zip(point, m):
+            v = v * pow(x, e, SCREEN_PRIME) % SCREEN_PRIME
+        total += v
+    return total % SCREEN_PRIME
+
+
+def test_screen_point_is_a_unit_off_one():
+    for n in range(1, 9):
+        point = screen_point(n)
+        assert len(point) == n
+        assert all(2 <= x < SCREEN_PRIME for x in point)
+
+
+def test_evaluated_fox_pass_is_the_exact_pass_at_the_point_and_keeps_the_chain_rule():
+    rng = random.Random(60)
+    moved_words = screened_solvers = 0
+    for k in range(40):
+        n = 2 + k % 3
+        point = screen_point(n)
+        phi = random_rank_deficient_ia(rng, n) if k % 2 else random_ia(rng, n)
+        w = random_word(rng, n, rng.randrange(30))
+        for word in (w, phi.apply(w)):
+            want = [at_point(c, point) for c in word_coords(word)]
+            assert word_pass_mod(word.letters, point, SCREEN_PRIME) == want
+        # coords(phi(w) w^-1) = coords(w) (J - I), read at the point
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi_at = [[at_point(e, point) for e in row] for row in jmi.entries]
+        c = word_pass_mod(w.letters, point, SCREEN_PRIME)
+        moved = [sum(ci * row[j] for ci, row in zip(c, jmi_at)) % SCREEN_PRIME for j in range(n)]
+        d = phi.apply(w) * w.inverse()
+        assert word_pass_mod(d.letters, point, SCREEN_PRIME) == moved
+        moved_words += any(moved)
+        solver = CosetSolver(phi, jmi)
+        if solver.columns_at_point is not None:
+            screened_solvers += 1
+            assert [list(col) for col in solver.columns_at_point] == [list(r) for r in zip(*jmi_at)]
+    assert moved_words >= 20 and screened_solvers >= 5, (moved_words, screened_solvers)
+
+
+def test_screens_skip_the_division_and_the_image(monkeypatch, displaced_pair):
+    # "unique": a coset with |w . a| below a width gap is "none" with no
+    # exact division; the gaps here are read off f and k independently
+    def width(p, w):
+        return ref_width(p.exponent_terms(), w)
+
+    divisions = []
+    divide_exact = LaurentPoly.divide_exact
+    monkeypatch.setattr(
+        LaurentPoly, "divide_exact", lambda p, q: divisions.append(p) or divide_exact(p, q)
+    )
+    rng = random.Random(61)
+    phis = [displaced_pair] + [random_ia(rng, 2 + k % 2) for k in range(12)]
+    screened = divided = 0
+    for phi in phis:
+        solver = CosetSolver(phi)
+        if solver.mode != "unique":
+            continue
+        gaps = [
+            (w, width(solver.f, w) - min(width(k, w) for k in solver.kernel if k))
+            for w in width_directions(phi.rank)
+        ]
+        for a in coset_box(phi.rank, 2):
+            divisions.clear()
+            status = solver.solve(a).status
+            if any(abs(sum(x * y for x, y in zip(w, a))) < gap for w, gap in gaps):
+                screened += 1
+                assert status == "none" and divisions == [], (phi, a)
+            else:
+                divided += 1
+                assert divisions, (phi, a)
+    assert screened > 500 and divided >= 20, (screened, divided)
+
+    # "rank_deficient": a coset whose coords(w_a) (J - I) is nonzero at
+    # the point is "undecided" without the image of w_a
+    with open(data_path("rank_deficient.endo")) as fh:
+        phi = parse_endomorphism(fh.read())
+    solver = CosetSolver(phi)
+    assert solver.mode == "rank_deficient" and not solver.ideal_is_zero
+    images = []
+    apply = Endomorphism.apply
+    monkeypatch.setattr(Endomorphism, "apply", lambda self, w: images.append(w) or apply(self, w))
+    statuses = {"found": 0, "undecided": 0}
+    for a in coset_box(3, 2):
+        images.clear()
+        status = solver.solve(a).status
+        statuses[status] += 1
+        assert (images == []) == (status == "undecided"), a
+    assert statuses["found"] >= 1 and statuses["undecided"] >= 100, statuses
 
 
 def test_zero_kernel_vector_is_an_internal_error(monkeypatch, displaced_pair, infinite_fix):

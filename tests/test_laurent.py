@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metafix.errors import InvariantError
+from metafix.fixpoint import width_directions
 from metafix.laurent import (
     ExponentOverflowError,
     LaurentPoly,
@@ -373,6 +374,45 @@ def test_text_tables_stay_within_their_cap():
 def test_word_pass_matches_reference(case):
     n, letters = case
     assert [p.exponent_terms() for p in word_pass(letters, n)] == ref_word_pass(letters, n)
+    sums, coords = word_pass(letters, n, abelian=True)
+    assert sums == tuple(letters.count(i) - letters.count(-i) for i in range(1, n + 1))
+    assert [p.exponent_terms() for p in coords] == ref_word_pass(letters, n)
+
+
+def ref_width(terms, w):
+    vals = [sum(c * e for c, e in zip(w, m)) for m in terms]
+    return max(vals) - min(vals)
+
+
+def nonzero_term_maps(n):
+    monos = st.tuples(*[st.integers(-6, 6)] * n)
+    return st.dictionaries(monos, st.integers(-BIG, BIG).filter(bool), min_size=1, max_size=8)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), nonzero_term_maps(n), nonzero_term_maps(n),
+    st.tuples(*[st.integers(-3, 3)] * n))))
+@example((3, {(0, 0, 0): 1, (1, -1, 0): 1}, {(0, 0, 0): 1, (-1, 1, 0): -1}, (2, -3, 1)))
+def test_widths_add_under_products(case):
+    # Ostrowski: the Newton polytope of a product is the Minkowski sum of
+    # the factors' polytopes, so widths add in every direction
+    n, a, b, extra = case
+    dirs = width_directions(n) + (extra,)
+    p, q = LaurentPoly(n, a), LaurentPoly(n, b)
+    wp, wq, wpq = p.widths(dirs), q.widths(dirs), (p * q).widths(dirs)
+    assert wp == [ref_width(a, w) for w in dirs]
+    assert wpq == [x + y for x, y in zip(wp, wq)]
+
+
+def test_widths_examples():
+    dirs = width_directions(2)
+    assert dirs == ((1, 0), (0, 1), (1, 1), (1, -1))
+    assert P("x1^2*x2 - x2^-1 + 3").widths(dirs) == [2, 2, 4, 1]
+    assert P("5*x1^-4*x2^7").widths(dirs) == [0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        LaurentPoly.zero(2).widths(dirs)
+    with pytest.raises(ValueError):
+        P("x1 + x2").widths([(1, 0, 0)])
 
 
 @given(ranks.flatmap(lambda n: st.lists(
