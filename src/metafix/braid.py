@@ -212,14 +212,3 @@ def alexander_vanishes(b):
     reduced = gassner_reduced(b)
     n1 = reduced.rows
     return (reduced - LaurentMatrix.identity(n1, reduced.nvars)).det().is_zero()
-
-
-def image_is_generator_conjugate(phi):
-    """Every image word has the shape w x_k w^-1."""
-    for k, y in enumerate(phi.images):
-        letters = list(y.letters)
-        while len(letters) >= 3 and letters[0] == -letters[-1]:
-            letters = letters[1:-1]
-        if letters != [k + 1]:
-            return False
-    return True

@@ -64,25 +64,11 @@ def fox_derivative(w, i):
     return word_coords(w)[i]
 
 
-def abelian_monomial(w):
-    """The image of the word in the Laurent ring: x^(exponent sums)."""
-    return LaurentPoly.monomial(w.exponent_sums(), w.rank)
-
-
 def jacobian(phi):
     """Matrix whose row i holds the derivatives of the i-th image word."""
     n = phi.rank
     rows = [word_coords(y) for y in phi.images]
     return LaurentMatrix(n, rows)
-
-
-def jacobian_row_identity_holds(phi, J=None):
-    """Row i of the Jacobian contracts against (x_k - 1) to image_i^a - 1."""
-    if J is None:
-        J = jacobian(phi)
-    return all(
-        membership(row) == abelian_monomial(y) - 1 for row, y in zip(J.entries, phi.images)
-    )
 
 
 def product_rule_holds(phi, psi):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import gcd
 from operator import add, or_
@@ -270,7 +269,7 @@ class LaurentPoly:
     determinant or pivot divides many entries in a row.
     """
 
-    __slots__ = ("nvars", "terms", "_hash", "_divisor_form")
+    __slots__ = ("nvars", "terms", "_divisor_form")
 
     def __init__(self, nvars, terms=None):
         """Build from a map of exponent tuples to integer coefficients."""
@@ -281,7 +280,6 @@ class LaurentPoly:
                     clean[_pack(tuple(m), nvars)] = c
         self.nvars = nvars
         self.terms = clean
-        self._hash = None
         self._divisor_form = None
 
     @classmethod
@@ -290,7 +288,6 @@ class LaurentPoly:
         self = object.__new__(cls)
         self.nvars = nvars
         self.terms = terms
-        self._hash = None
         self._divisor_form = None
         return self
 
@@ -419,9 +416,7 @@ class LaurentPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def as_unit(self):
         """Return (coeff, mono) if the polynomial is +-x^m, else None."""
@@ -432,13 +427,6 @@ class LaurentPoly:
             return c, _unpack(k, self.nvars)
         return None
 
-    def leading(self):
-        """Leading (mono, coeff) in graded lex order; None for zero."""
-        if not self.terms:
-            return None
-        k = max(self.terms)
-        return _unpack(k, self.nvars), self.terms[k]
-
     def content(self):
         """gcd of the coefficients; 0 for the zero polynomial."""
         g = 0
@@ -447,23 +435,6 @@ class LaurentPoly:
             if g == 1:
                 return 1
         return g
-
-    def eval(self, point):
-        """Exact value at a point with nonzero rational coordinates."""
-        if len(point) != self.nvars:
-            raise ValueError("point of wrong dimension")
-        pt = [Fraction(p) for p in point]
-        for p in pt:
-            if p == 0:
-                raise ValueError("evaluation point has a zero coordinate")
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            v = Fraction(c)
-            for p, e in zip(pt, _unpack(k, self.nvars)):
-                if e:
-                    v *= p**e
-            total += v
-        return total
 
     def widths(self, directions):
         """For each integer vector w in `directions`, max - min of w . e

@@ -39,11 +39,6 @@ class MagnusElement:
         """The pair of a word, both parts from one Fox pass."""
         return cls(w.rank, *word_coords(w, abelian=True))
 
-    @classmethod
-    def identity(cls, rank):
-        z = LaurentPoly.zero(rank)
-        return cls(rank, (0,) * rank, (z,) * rank)
-
     def _mono(self, sign=1):
         return LaurentPoly.monomial(tuple(sign * a for a in self.abelian), self.rank)
 

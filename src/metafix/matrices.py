@@ -57,11 +57,6 @@ class LaurentMatrix:
                     raise ValueError("entry from the wrong ring")
 
     @classmethod
-    def zeros(cls, rows, cols, nvars):
-        z = LaurentPoly.zero(nvars)
-        return cls(nvars, [[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n, nvars):
         z = LaurentPoly.zero(nvars)
         one = LaurentPoly.one(nvars)
@@ -74,16 +69,6 @@ class LaurentMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return LaurentMatrix(
-            self.nvars,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
         )
 
     def __sub__(self, other):
@@ -147,9 +132,6 @@ class LaurentMatrix:
             dot(vec, [row[j] for row in self.entries], self.nvars)
             for j in range(self.cols)
         ]
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
 
     # -- elimination and determinant ------------------------------------
 
@@ -250,6 +232,8 @@ class LaurentMatrix:
             return None
         if free is None:
             free = min(set(range(self.cols)).difference(pcols))
+        elif not 0 <= free < self.cols:
+            raise ValueError(f"column {free} out of range")
         elif free in pcols:
             raise ValueError(f"column {free} is a pivot column")
         sel = sorted(pcols + (free,))

@@ -4,7 +4,7 @@ are reproducible."""
 
 from __future__ import annotations
 
-from .endo import Endomorphism, parse_endomorphism
+from .endo import Endomorphism
 from .fox import membership_row
 from .laurent import LaurentPoly
 from .words import Word
@@ -84,10 +84,3 @@ def random_module_vector(rng, n, entries=2, span=1, coeff=2):
         u[i] = u[i] + c * row[j]
         u[j] = u[j] - c * row[i]
     return u
-
-
-def displaced_pair_endo(s_text="[x1,x2]"):
-    """x1 -> x1 s, x2 -> x2 s^-1 on two generators."""
-    return parse_endomorphism(
-        f"x1 -> x1 {s_text}\nx2 -> x2 ({s_text})^-1"
-    )

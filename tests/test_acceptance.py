@@ -21,7 +21,6 @@ from metafix.fox import jacobian, product_rule_holds, word_coords
 from metafix.magnus import MagnusElement, is_module_vector, is_trivial, realize_coords
 from metafix.matrices import LaurentMatrix
 from metafix.samples import (
-    displaced_pair_endo,
     random_ia,
     random_module_vector,
     random_rank_deficient_ia,
@@ -73,6 +72,11 @@ def test_criterion_1_determinant_vanishes():
         assert all(len(y) <= 16 for y in phi.images)
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
         assert jmi.det().is_zero()
+
+
+def displaced_pair_endo(s_text):
+    """x1 -> x1 s, x2 -> x2 s^-1 on two generators."""
+    return parse_endomorphism(f"x1 -> x1 {s_text}\nx2 -> x2 ({s_text})^-1")
 
 
 @_criterion(2, "displaced pair x1->x1 s, x2->x2 s^-1 has no fixed points", 30)

@@ -11,7 +11,6 @@ from metafix.braid import (
     braid_to_text,
     gassner,
     gassner_reduced,
-    image_is_generator_conjugate,
     parse_braid,
     pure_generator,
 )
@@ -25,6 +24,17 @@ from metafix.words import MAX_LETTERS, Word, WordError, word_to_text
 
 def signed_generators(n):
     return [(i, j, s) for i in range(1, n) for j in range(i + 1, n + 1) for s in (1, -1)]
+
+
+def image_is_generator_conjugate(phi):
+    """Every image word has the shape w x_k w^-1."""
+    for k, y in enumerate(phi.images):
+        letters = list(y.letters)
+        while len(letters) >= 3 and letters[0] == -letters[-1]:
+            letters = letters[1:-1]
+        if letters != [k + 1]:
+            return False
+    return True
 
 
 def random_braid(rng, n, max_len):

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from metafix.braid import BraidWord, parse_braid
 from metafix.cli import main
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
+from metafix.laurent import LaurentPoly, parse_poly
+from metafix.magnus import MagnusElement
 from metafix.samples import random_word
 from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word
 
@@ -81,3 +84,25 @@ def test_image_that_reduces_below_the_limit_is_kept():
     phi = inner_automorphism(g)
     assert len(w) * max(len(y) for y in phi.images) > MAX_LETTERS
     assert phi.apply(w) == g.inverse() * w * g
+
+
+def test_equal_values_hash_equal():
+    # each pair is built two ways; equal objects must collapse in a set
+    x1, x2 = Word.generator(0, 2), Word.generator(1, 2)
+    pairs = [
+        (parse_poly("x2 + x1 - 2", 2), LaurentPoly.variable(0, 2) + LaurentPoly.variable(1, 2) - 2),
+        (parse_word("[x1,x2]", 2), x1.commutator(x2)),
+        (
+            MagnusElement.of_word(parse_word("[[x1,x2],[x1,x3]]", 3)),
+            MagnusElement.of_word(Word.identity(3)),
+        ),
+        (
+            parse_endomorphism("x1 -> x1 [x1,x2]\nx2 -> x2"),
+            Endomorphism([x1 * x1.commutator(x2), x2]),
+        ),
+        (parse_braid("A[1,2] A[2,3]^-1", 3), BraidWord(3, [(1, 2, 1), (2, 3, -1)])),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1

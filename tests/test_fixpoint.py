@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from metafix import fixpoint
 from metafix.braid import BraidWord, braid_automorphism
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
 from metafix.fixpoint import (
@@ -131,7 +132,8 @@ def test_displacements_require_ia():
 def test_system_examples(displaced_pair, infinite_fix):
     n = 3
     b = fixed_point_system(Endomorphism.identity(n))
-    assert b.rows == n and b.cols == n - 1 and b.is_zero()
+    assert b.rows == n and b.cols == n - 1
+    assert not any(e for row in b.entries for e in row)
 
     b15 = fixed_point_system(infinite_fix)
     v1 = word_coords(parse_word("[x2,x3,x1]", 3))
@@ -446,6 +448,46 @@ def test_coset_solver_matches_reference():
     assert min(routes.values()) >= 4, routes
     assert min(statuses.values()) >= 20, statuses
     assert 0 < zero_ideals < routes["rank_deficient"], zero_ideals
+
+
+def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
+    # on "decoupled" the ideal is (x_i - 1 : x_i fixed), so a coset holds a
+    # fixed point iff a vanishes on every moved generator, and then w_a is
+    # one.  Every Cramer solve has a solution, u0 = -x^-a coords(w_a) on
+    # the pivot columns: by the chain rule the right-hand side is u0 (J - I)
+    solves = []
+
+    def recording_cramer(m, b):
+        res = cramer_solve(m, b)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(fixpoint, "cramer_solve", recording_cramer)
+    rng = random.Random(58)
+    phis = [infinite_fix] + [random_ia(rng, 2 + k % 3, skip_chance=0.5) for k in range(120)]
+    endos = cosets = cramer_calls = 0
+    for phi in phis:
+        solver = CosetSolver(phi)
+        if solver.mode != "decoupled" or not solver.pivot_cols:
+            continue
+        endos += 1
+        n = phi.rank
+        for a in coset_box(n, 1 if n == 4 else 2):
+            solves.clear()
+            got = solver.solve(a)
+            wa = coset_word(a, n)
+            if any(a[i] for i in solver.pivot_cols):
+                assert got.status == "none", (phi, a)
+            else:
+                assert got.status == "found" and got.witness.letters == wa.letters, (phi, a)
+            shift = LaurentPoly.monomial(tuple(-e for e in a), n)
+            u0 = [-(shift * c) for c in word_coords(wa)]
+            for res in solves:
+                assert res.status == "solution", (phi, a)
+                assert list(res.solution) == [u0[i] for i in solver.pivot_cols], (phi, a)
+            cosets += 1
+            cramer_calls += len(solves)
+    assert endos >= 30 and cramer_calls >= cosets // 2, (endos, cosets, cramer_calls)
 
 
 @pytest.mark.parametrize(

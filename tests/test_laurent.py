@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import cycle
 
 import pytest
@@ -49,19 +48,6 @@ def test_dimension_mismatch():
         P("x1", 2) * parse_poly("x1", 3)
 
 
-def test_eval_examples():
-    p = P("x2 + x1 - 2")
-    for t in (5, Fraction(1, 2), -7):
-        assert p.eval([-1, t]) == t - 3
-    assert LaurentPoly.zero(2).eval([3, 4]) == 0
-    assert parse_poly("x1^-1", 1).eval([2]) == Fraction(1, 2)
-
-
-def test_eval_zero_coordinate_rejected():
-    with pytest.raises(ValueError):
-        P("x1").eval([0, 1])
-
-
 def test_normalize_examples():
     poly, unit = (P("x1^-1") + P("x2^-1")).normalized()
     assert poly == P("x1 + x2")
@@ -85,8 +71,7 @@ def test_normalize_round_trip():
             continue
         poly, unit = p.normalized()
         assert poly * unit == p
-        lead_mono, lead_coeff = poly.leading()
-        assert lead_coeff > 0
+        assert not str(poly).startswith("-")
         assert all(min(m[i] for m in poly.exponent_terms()) == 0 for i in range(p.nvars))
 
 
@@ -110,13 +95,9 @@ def test_divide_round_trip():
 
 
 def test_divisibility_disproved_by_specialization():
-    # the evaluation pre-filter: a point where the divisor vanishes but the
-    # dividend does not certifies non-divisibility
     f = P("x2 + x1 - 2")
     g = P("x2 - 1")
     assert g.divide_exact(f) is None
-    assert f.eval([-1, 3]) == 0
-    assert g.eval([-1, 3]) == 2
 
 
 def test_content():

@@ -73,7 +73,7 @@ def test_group_structure():
         mu, mv = MagnusElement.of_word(u), MagnusElement.of_word(v)
         assert MagnusElement.of_word(u * v) == mu * mv
         assert (mu * mu.inverse()).is_identity()
-        assert MagnusElement.identity(n) * mu == mu
+        assert MagnusElement.of_word(Word.identity(n)) * mu == mu
 
 
 def test_word_problem_examples():

@@ -12,6 +12,11 @@ def P(text, n=2):
     return parse_poly(text, n)
 
 
+def zeros(rows, cols, n):
+    z = LaurentPoly.zero(n)
+    return LaurentMatrix(n, [[z] * cols for _ in range(rows)])
+
+
 def random_matrix(rng, rows, cols, n, terms=2):
     return LaurentMatrix(
         n,
@@ -41,7 +46,7 @@ def test_det_of_ia_difference():
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        LaurentMatrix.zeros(2, 3, 1).det()
+        zeros(2, 3, 1).det()
 
 
 def test_det_matches_cofactor_on_larger_matrices():
@@ -79,7 +84,7 @@ def test_det_matches_cofactor_on_larger_matrices():
 
 
 def test_rank_examples(displaced_pair, infinite_fix):
-    assert LaurentMatrix.zeros(3, 2, 2).rank() == 0
+    assert zeros(3, 2, 2).rank() == 0
     jmi = jacobian(displaced_pair) - LaurentMatrix.identity(2, 2)
     assert jmi.rank() == 1
     jmi3 = jacobian(infinite_fix) - LaurentMatrix.identity(3, 3)
@@ -166,6 +171,13 @@ def test_kernel_vector_rejects_a_pivot_column():
     m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1), parse_poly("x1 - 1", 1)]])
     with pytest.raises(ValueError):
         m.kernel_vector(m.echelon_pivots()[2][0])
+    # column indices outside 0 <= free < cols, including a negative one
+    # that names the pivot column
+    m = LaurentMatrix(2, [[P("x1 - 1"), P("x2 - 1"), P("x1*x2")]])
+    assert m.echelon_pivots()[2] == (2,)
+    for free in (-1, -3, 3):
+        with pytest.raises(ValueError):
+            m.kernel_vector(free)
 
 
 def test_kernel_annihilates_random():
@@ -202,7 +214,7 @@ def test_cramer_examples():
 
 def test_cramer_shape_mismatch():
     with pytest.raises(ValueError):
-        cramer_solve(LaurentMatrix.zeros(2, 3, 1), [LaurentPoly.zero(1)] * 2)
+        cramer_solve(zeros(2, 3, 1), [LaurentPoly.zero(1)] * 2)
     with pytest.raises(ValueError):
         cramer_solve(LaurentMatrix.identity(2, 1), [LaurentPoly.zero(1)])
 
@@ -244,7 +256,7 @@ def cramer_reference(m, b):
 def random_low_rank(rng, rows, cols, rank, n):
     """A rows x cols matrix of rank at most `rank`, as a product of factors."""
     if rank == 0:
-        return LaurentMatrix.zeros(rows, cols, n)
+        return zeros(rows, cols, n)
     return random_matrix(rng, rows, rank, n, terms=1) * random_matrix(rng, rank, cols, n)
 
 
