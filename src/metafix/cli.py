@@ -54,8 +54,11 @@ def _fix_json(report):
 
 
 def _emit(report, as_json):
+    # one line: without `indent` the stdlib encodes in C.  The default
+    # separators keep the form `"timing": <seconds>`, which perfbench
+    # strips before it compares the answers of repeated passes.
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return
     _pretty(report)
 

@@ -9,9 +9,9 @@ class Endomorphism:
     """An endomorphism given by its generator images.  Immutable: nothing
     writes `images` after `__init__`, so `apply` keeps a table of the
     images and their inverses, and the longest image's length, once it
-    has built them."""
+    has built them, and `is_ia` keeps its answer."""
 
-    __slots__ = ("rank", "images", "_table")
+    __slots__ = ("rank", "images", "_table", "_ia")
 
     def __init__(self, images):
         images = tuple(images)
@@ -26,6 +26,7 @@ class Endomorphism:
         self.rank = rank
         self.images = images
         self._table = None
+        self._ia = None
 
     @classmethod
     def identity(cls, rank):
@@ -75,12 +76,12 @@ class Endomorphism:
 
     def is_ia(self):
         """True when every image abelianizes to its own generator."""
-        for i, y in enumerate(self.images):
-            sums = y.exponent_sums()
-            for j, s in enumerate(sums):
-                if s != (1 if j == i else 0):
-                    return False
-        return True
+        if self._ia is None:
+            self._ia = all(
+                y.exponent_sums() == tuple(int(j == i) for j in range(self.rank))
+                for i, y in enumerate(self.images)
+            )
+        return self._ia
 
     def __eq__(self, other):
         if not isinstance(other, Endomorphism):
@@ -117,7 +118,7 @@ def parse_endomorphism(text):
             raise WordError(f"line {lineno}: expected 'xI -> word'")
         lhs, rhs = line.split("->", 1)
         lhs = lhs.strip()
-        if not lhs.startswith("x") or not lhs[1:].isdigit():
+        if not lhs.startswith("x") or not lhs[1:].isdecimal():
             raise WordError(f"line {lineno}: left side must be a generator, got {lhs!r}")
         entries.append((lineno, int(lhs[1:]), rhs.strip()))
     n = len(entries)

@@ -199,7 +199,7 @@ def _tokenize(text):
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise WordError("generator name needs an index", i)
@@ -210,7 +210,7 @@ def _tokenize(text):
             if j < n and text[j] == "-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise WordError("exponent needs digits", i)
@@ -234,6 +234,10 @@ def parse_word(text, rank):
     word is freely reduced.  A product, commutator or power that would
     build more than MAX_LETTERS letters raises WordError before it is
     built.
+
+    Factors are letter sequences, freely reduced, and a sequence of
+    factors is one list that cancels only where the next factor joins
+    it; only brackets and powered parentheses go through `Word`.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -243,12 +247,17 @@ def parse_word(text, rank):
 
     def parse_sequence(stoppers):
         nonlocal pos
-        out = Word.identity(rank)
+        out = []
         while pos < len(tokens) and tokens[pos][0] not in stoppers:
             at = tokens[pos][2]
             factor = parse_factor()
             check_size(len(out) + len(factor), "product", at)
-            out = out * factor
+            if out and factor and out[-1] == -factor[0]:
+                k = junction(out, factor)
+                del out[len(out) - k :]
+                out.extend(factor[k:])
+            else:
+                out.extend(factor)
         return out
 
     def parse_factor():
@@ -258,11 +267,18 @@ def parse_word(text, rank):
             if not 1 <= value <= rank:
                 raise WordError(f"generator x{value} out of range for rank {rank}", at)
             pos += 1
-            atom = Word._raw(rank, (value,))
-        elif kind == "one":
+            if peek()[0] == "pow":
+                e = peek()[1]
+                pos += 1
+                check_size(abs(e), "power")
+                return (value if e > 0 else -value,) * abs(e)
+            return (value,)
+        if kind == "one":
             pos += 1
-            atom = Word.identity(rank)
-        elif kind == "[":
+            if peek()[0] == "pow":
+                pos += 1
+            return ()
+        if kind == "[":
             pos += 1
             entries = [parse_sequence({",", "]"})]
             while peek()[0] == ",":
@@ -273,24 +289,27 @@ def parse_word(text, rank):
             pos += 1
             if len(entries) < 2:
                 raise WordError("a commutator needs at least two entries", at)
-            atom = entries[0]
+            atom = Word._raw(rank, tuple(entries[0]))
             for e in entries[1:]:
                 check_size(2 * (len(atom) + len(e)), "commutator", at)
-                atom = atom.commutator(e)
+                atom = atom.commutator(Word._raw(rank, tuple(e)))
         elif kind == "(":
             pos += 1
-            atom = parse_sequence({")"})
+            letters = parse_sequence({")"})
             if peek()[0] != ")":
                 raise WordError("unclosed '('", at)
             pos += 1
+            if peek()[0] != "pow":
+                return letters
+            atom = Word._raw(rank, tuple(letters))
         else:
             raise WordError(f"unexpected token {kind!r}", at)
         if peek()[0] == "pow":
             atom = atom ** peek()[1]
             pos += 1
-        return atom
+        return atom.letters
 
     out = parse_sequence(set())
     if pos != len(tokens):
         raise WordError("trailing input", tokens[pos][2])
-    return out
+    return Word._raw(rank, tuple(out))

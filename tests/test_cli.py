@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -247,6 +248,44 @@ def test_verify_matches_golden_report(capsys, fixture, word, name):
     rep = run_json(capsys, "verify", data_path(fixture + ".endo"), word, "--json")
     rep["input"]["file"] = fixture + ".endo"
     assert rep == golden(f"verify_{fixture}_{name}.json")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["analyze", data_path("rank_deficient.endo"), "--bound", "2"], "analyze_rank_deficient.json"),
+    (["braid", "3", "A[1,2] A[2,3]^-1"], "braid_3.json"),
+    (["verify", data_path("infinite_fix.endo"), "(x1 x2^-1 x3 x1^-2 x2)^120"],
+     "verify_infinite_fix_power.json"),
+])
+def test_json_report_is_one_line(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0, err
+    assert out.endswith("\n") and out.count("\n") == 1
+    rep = json.loads(out)
+    # perfbench strips the run time in this form before it compares the
+    # answers of repeated passes; verify reports carry no run time
+    timing = re.findall(r'"timing": ([-+0-9.e]+)', out)
+    if argv[0] == "verify":
+        assert timing == []
+    else:
+        assert [float(t) for t in timing] == [rep.pop("timing")]
+    if "file" in rep["input"]:
+        rep["input"]["file"] = os.path.basename(rep["input"]["file"])
+    assert rep == golden(name)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", data_path("infinite_fix.endo"), "x²"], "generator name needs an index (at position 0)"),
+    (["verify", data_path("infinite_fix.endo"), "x1^²"], "exponent needs digits (at position 2)"),
+    (["analyze", "SQUARE"], "line 1: left side must be a generator, got 'x²'"),
+])
+def test_digits_that_int_rejects_are_input_errors(tmp_path, capsys, argv, message):
+    # "²" is a digit to str.isdigit, but int() rejects it
+    square = tmp_path / "square.endo"
+    square.write_text("x² -> x1\n", encoding="utf-8")
+    argv = [str(square) if a == "SQUARE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_analyze_builds_the_jacobian_once(monkeypatch, capsys):

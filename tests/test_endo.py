@@ -11,6 +11,7 @@ from metafix.laurent import LaurentPoly, parse_poly
 from metafix.magnus import MagnusElement
 from metafix.samples import random_word
 from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word
+from tests.conftest import data_path
 
 ranks = st.integers(1, 4)
 
@@ -106,3 +107,38 @@ def test_equal_values_hash_equal():
         assert a is not b and a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """The words whose exponent sums are taken, in call order."""
+    words = []
+    exponent_sums = Word.exponent_sums
+
+    def counting(w):
+        words.append(w)
+        return exponent_sums(w)
+
+    monkeypatch.setattr(Word, "exponent_sums", counting)
+    return words
+
+
+@pytest.mark.parametrize("text,ia", [
+    ("x1 -> x1 [x1,x2]\nx2 -> x2", True),
+    ("x1 -> x2\nx2 -> x1", False),
+    ("x1 -> x1\nx2 -> x2 x1", False),
+])
+def test_ia_check_sums_each_image_at_most_once(summed, text, ia):
+    phi = parse_endomorphism(text)
+    assert [phi.is_ia() for _ in range(3)] == [ia] * 3
+    assert len(summed) == len({id(w) for w in summed}) <= phi.rank
+
+
+def test_analyze_checks_ia_once(monkeypatch, capsys, summed, displaced_pair):
+    # cmd_analyze asks twice and the fixed-point search asks at each
+    # stage; only the first call sums the images
+    monkeypatch.setattr("metafix.cli.parse_endomorphism", lambda text: displaced_pair)
+    assert main(["analyze", data_path("displaced_pair.endo"), "--bound", "1", "--json"]) == 0
+    capsys.readouterr()
+    images = [w for w in summed if any(w is y for y in displaced_pair.images)]
+    assert len(images) == displaced_pair.rank

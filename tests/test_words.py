@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -6,7 +7,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metafix.samples import random_word
-from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word, word_to_text
+from metafix.words import (
+    MAX_LETTERS,
+    Word,
+    WordError,
+    _tokenize,
+    check_size,
+    free_reduce,
+    parse_word,
+    word_to_text,
+)
 
 
 def test_reduce_examples():
@@ -226,3 +236,165 @@ def test_word_to_text_matches_reference(case):
     text = word_to_text(w)
     assert text == ref_word_to_text(w)
     assert parse_word(text, n) == w
+
+
+# -- the parser against the Word-building parser -----------------------------
+
+
+def ref_parse_word(text, rank):
+    """The parser that builds a `Word` for every factor and power, which
+    the letter-list parser replaces."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
+
+    def parse_sequence(stoppers):
+        nonlocal pos
+        out = Word.identity(rank)
+        while pos < len(tokens) and tokens[pos][0] not in stoppers:
+            at = tokens[pos][2]
+            factor = parse_factor()
+            check_size(len(out) + len(factor), "product", at)
+            out = out * factor
+        return out
+
+    def parse_factor():
+        nonlocal pos
+        kind, value, at = peek()
+        if kind == "gen":
+            if not 1 <= value <= rank:
+                raise WordError(f"generator x{value} out of range for rank {rank}", at)
+            pos += 1
+            atom = Word._raw(rank, (value,))
+        elif kind == "one":
+            pos += 1
+            atom = Word.identity(rank)
+        elif kind == "[":
+            pos += 1
+            entries = [parse_sequence({",", "]"})]
+            while peek()[0] == ",":
+                pos += 1
+                entries.append(parse_sequence({",", "]"}))
+            if peek()[0] != "]":
+                raise WordError("unclosed '['", at)
+            pos += 1
+            if len(entries) < 2:
+                raise WordError("a commutator needs at least two entries", at)
+            atom = entries[0]
+            for e in entries[1:]:
+                check_size(2 * (len(atom) + len(e)), "commutator", at)
+                atom = atom.commutator(e)
+        elif kind == "(":
+            pos += 1
+            atom = parse_sequence({")"})
+            if peek()[0] != ")":
+                raise WordError("unclosed '('", at)
+            pos += 1
+        else:
+            raise WordError(f"unexpected token {kind!r}", at)
+        if peek()[0] == "pow":
+            atom = atom ** peek()[1]
+            pos += 1
+        return atom
+
+    out = parse_sequence(set())
+    if pos != len(tokens):
+        raise WordError("trailing input", tokens[pos][2])
+    return out
+
+
+def parse_outcome(parse, text, rank):
+    """The letters of the parsed word, or the WordError's message and
+    position."""
+    try:
+        w = parse(text, rank)
+    except WordError as e:
+        return "error", str(e), e.position
+    assert type(w) is Word and w.rank == rank and w.letters == free_reduce(w.letters)
+    return "word", w.letters
+
+
+@st.composite
+def word_texts(draw, n, depth=0):
+    """A text in the grammar over n generators: a product of factors xK,
+    1, (...) and [..., ...], each with or without an exponent, nested at
+    most three deep."""
+    factors = []
+    for _ in range(draw(st.integers(0 if depth == 0 else 1, 4))):
+        kind = draw(st.integers(0, 4 if depth < 3 else 2))
+        if kind <= 1:
+            factor = f"x{draw(st.integers(1, n))}"
+        elif kind == 2:
+            factor = "1"
+        elif kind == 3:
+            factor = f"({draw(word_texts(n, depth + 1))})"
+        else:
+            entries = [draw(word_texts(n, depth + 1)) for _ in range(draw(st.integers(2, 3)))]
+            factor = f"[{','.join(entries)}]"
+        if draw(st.booleans()):
+            factor += f"^{draw(st.integers(-12, 12))}"
+        factors.append(factor)
+    return " ".join(factors)
+
+
+# (position, text) insertions, none in about half the cases: stray
+# brackets, signs and letters, generators out of range, exponents that
+# the tokenizer rejects, and digits that int() rejects ("²") or accepts
+# ("٣")
+strays = st.just([]) | st.lists(
+    st.tuples(
+        st.integers(0, 200),
+        st.sampled_from(
+            list("x^-+[](),1 2²٣a\t") + ["x0", "x5", "x12", "^-", "^+2", "^²", "^٣", "^ 2", "^007"]
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def with_strays(text, inserts):
+    for at, ch in inserts:
+        at = min(at, len(text))
+        text = text[:at] + ch + text[at:]
+    return text
+
+
+cases = st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), word_texts(n), strays))
+
+
+half = MAX_LETTERS // 2 + 1
+
+
+@given(cases)
+@example((2, "x²", []))
+@example((2, "x1^²", []))
+@example((2, "x1^٣ x2^-٣", []))
+@example((2, "x1 (x1^-1 x2)^3 x2^-3 [x1,x2,x1]^-2 1^5", []))
+@example((2, f"x1^{half} x2^{half}", []))
+@example((2, f"[x1^{half // 2 + 1}, x2^{half // 2}]", []))
+@example((2, f"x1^{MAX_LETTERS + 1}", []))
+@example((2, f"(x1 x2)^{half}", []))
+def test_parse_word_matches_the_word_building_parser(case):
+    rank, text, inserts = case
+    text = with_strays(text, inserts)
+    assert parse_outcome(parse_word, text, rank) == parse_outcome(ref_parse_word, text, rank)
+
+
+@pytest.mark.parametrize("text,size", [
+    (f"x1^{MAX_LETTERS + 1}", MAX_LETTERS + 1),
+    (f"(x1 x2)^{MAX_LETTERS // 2 + 1}", MAX_LETTERS + 2),
+])
+def test_powers_over_the_letter_cap_are_rejected_before_building(text, size):
+    # a word at the cap holds MAX_LETTERS pointers, 8 MB on 64-bit
+    # builds, so a peak far below that shows none was built
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordError, match=f"power of {size} letters exceeds"):
+            parse_word(text, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_LETTERS
