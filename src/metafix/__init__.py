@@ -16,7 +16,7 @@ from .fixpoint import (
     is_fixed,
     search_fixed,
 )
-from .fox import fox_derivative, jacobian
+from .fox import fox_derivative, j_minus_i, jacobian
 from .laurent import LaurentPoly, parse_poly, poly_to_text
 from .magnus import MagnusElement, is_trivial, realize_coords
 from .matrices import LaurentMatrix, cramer_solve
@@ -42,6 +42,7 @@ __all__ = [
     "inner_automorphism",
     "is_fixed",
     "is_trivial",
+    "j_minus_i",
     "jacobian",
     "parse_braid",
     "parse_endomorphism",

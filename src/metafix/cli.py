@@ -19,7 +19,7 @@ from .braid import braid_automorphism, gassner, gassner_reduced, parse_braid
 from .endo import parse_endomorphism
 from .errors import InvariantError
 from .fixpoint import fixed_point_in_commutator, search_fixed
-from .fox import jacobian
+from .fox import j_minus_i, jacobian
 from .laurent import poly_to_text
 from .magnus import MagnusElement, is_trivial
 from .matrices import LaurentMatrix
@@ -115,8 +115,7 @@ def cmd_analyze(args):
         )
         return 2
     start = time.perf_counter()
-    j = jacobian(phi)
-    jmi = j - LaurentMatrix.identity(n, n)
+    jmi = j_minus_i(phi)
     # the rank first: its elimination then settles the determinant
     rank = jmi.rank()
     report = {
@@ -126,14 +125,14 @@ def cmd_analyze(args):
             "images": [word_to_text(y) for y in phi.images],
         },
         "ia": phi.is_ia(),
-        "jacobian": _matrix_json(j),
+        "jacobian": _matrix_json(jacobian(phi)),
         "det_JmI": poly_to_text(jmi.det()),
         "rank_JmI": rank,
         "fix": None,
         "braid": None,
     }
     if phi.is_ia():
-        fix = search_fixed(phi, args.bound, jmi=jmi)
+        fix = search_fixed(phi, args.bound)
         report["fix"] = _fix_json(fix)
     report["timing"] = round(time.perf_counter() - start, 6)
     _emit(report, args.json)
@@ -154,12 +153,12 @@ def cmd_braid(args):
     n = phi.rank
     unreduced = gassner(phi)
     reduced = gassner_reduced(unreduced)
-    jmi = unreduced - LaurentMatrix.identity(n, n)
+    jmi = j_minus_i(phi)
     vanishes = (
         (reduced - LaurentMatrix.identity(n - 1, reduced.nvars)).det().is_zero()
     )
     rank = jmi.rank()
-    witness = fixed_point_in_commutator(phi, jmi=jmi)
+    witness = fixed_point_in_commutator(phi)
     findings = []
     if vanishes != (rank <= n - 2):
         findings.append("alexander vanishing disagrees with the rank-defect class")

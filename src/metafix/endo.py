@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from .words import MAX_LETTERS, Word, WordError, junction, parse_word, word_to_text
+from .words import MAX_LETTERS, Word, WordError, junction, parse_digits, parse_word, word_to_text
 
 
 class Endomorphism:
     """An endomorphism given by its generator images.  Immutable: nothing
     writes `images` after `__init__`, so `apply` keeps a table of the
     images and their inverses, and the longest image's length, once it
-    has built them, and `is_ia` keeps its answer."""
+    has built them, `is_ia` keeps its answer, and `fox.jacobian` and
+    `fox.j_minus_i` keep J and J - I."""
 
-    __slots__ = ("rank", "images", "_table", "_ia")
+    __slots__ = ("rank", "images", "_table", "_ia", "_jacobian", "_jmi")
 
     def __init__(self, images):
         images = tuple(images)
@@ -25,8 +26,7 @@ class Endomorphism:
             raise ValueError(f"{rank} generators but {len(images)} image words")
         self.rank = rank
         self.images = images
-        self._table = None
-        self._ia = None
+        self._table = self._ia = self._jacobian = self._jmi = None
 
     @classmethod
     def identity(cls, rank):
@@ -120,7 +120,11 @@ def parse_endomorphism(text):
         lhs = lhs.strip()
         if not lhs.startswith("x") or not lhs[1:].isdecimal():
             raise WordError(f"line {lineno}: left side must be a generator, got {lhs!r}")
-        entries.append((lineno, int(lhs[1:]), rhs.strip()))
+        try:
+            idx = parse_digits(lhs[1:], 0)
+        except WordError as e:
+            raise WordError(f"line {lineno}: left side: {e}") from None
+        entries.append((lineno, idx, rhs.strip()))
     n = len(entries)
     if n == 0:
         raise WordError("no generator images found")

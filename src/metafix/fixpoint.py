@@ -80,10 +80,10 @@ from operator import mul, sub
 from typing import Optional
 
 from .errors import InvariantError
-from .fox import jacobian, membership, peel, word_coords
+from .fox import j_minus_i, membership, peel, word_coords
 from .laurent import LaurentPoly, word_pass_mod
 from .magnus import MagnusElement, coset_letters, coset_word, is_trivial, realize_coords
-from .matrices import LaurentMatrix, cramer_solve, normalize_vector
+from .matrices import cramer_solve, normalize_vector
 from .words import Word
 
 
@@ -120,14 +120,11 @@ def is_fixed(phi, g):
     return is_trivial(phi.apply(g) * g.inverse())
 
 
-def _j_minus_i(phi, jmi):
-    """J - I of an IA input; `jmi` may pass it precomputed."""
+def _j_minus_i(phi):
+    """J - I of an IA input, kept on phi (`fox.j_minus_i`)."""
     if not phi.is_ia():
         raise ValueError("endomorphism is not IA (identical in abelianization)")
-    if jmi is None:
-        n = phi.rank
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-    return jmi
+    return j_minus_i(phi)
 
 
 def left_kernel(jmi):
@@ -152,11 +149,10 @@ def commutator_fixed_coords(basis, fs):
     return normalize_vector([f2 * a - f1 * b for a, b in zip(k1, k2)], f1.nvars)
 
 
-def fixed_point_in_commutator(phi, jmi=None):
+def fixed_point_in_commutator(phi):
     """A verified nontrivial fixed point inside the commutator subgroup,
-    or None when no such fixed point exists.  `jmi` may pass a
-    precomputed J - I."""
-    u = commutator_fixed_coords(*left_kernel(_j_minus_i(phi, jmi)))
+    or None when no such fixed point exists."""
+    u = commutator_fixed_coords(*left_kernel(_j_minus_i(phi)))
     if u is None:
         return None
     g = realize_coords(u)
@@ -190,12 +186,11 @@ class CosetSolver:
     "rank_deficient" one whose coords(w_a) (J - I) is nonzero at the
     point is "undecided" by the Fox chain rule; neither builds a
     polynomial or a word.  Any other query costs at most n exact
-    divisions, a few dot products, or one oracle check of w_a.  `jmi`
-    may pass a precomputed J - I.
+    divisions, a few dot products, or one oracle check of w_a.
     """
 
-    def __init__(self, phi, jmi=None):
-        jmi = _j_minus_i(phi, jmi)
+    def __init__(self, phi):
+        jmi = _j_minus_i(phi)
         self.phi = phi
         self.n = n = phi.rank
         basis, fs = left_kernel(jmi)
@@ -342,11 +337,10 @@ class FixReport:
     cosets: list = field(default_factory=list)
 
 
-def rank_defect_class(phi, jmi=None):
+def rank_defect_class(phi):
     """"rank<=n-2" or "rank=n-1" for the matrix J - I of an IA input."""
-    jmi = _j_minus_i(phi, jmi)
     n = phi.rank
-    r = jmi.rank()
+    r = _j_minus_i(phi).rank()
     if r > n - 1:
         raise InternalCheckError("J - I has full rank for an IA endomorphism")
     return "rank<=n-2" if r <= n - 2 else "rank=n-1"
@@ -359,19 +353,18 @@ def coset_box(n, bound):
     ]
 
 
-def search_fixed(phi, bound, jmi=None):
+def search_fixed(phi, bound):
     """Run the commutator-subgroup detector plus every coset in the box.
 
     Every witness in the report has passed the word-problem oracle; a
-    witness that fails it raises InternalCheckError.  `jmi` may pass a
-    precomputed J - I; its rank is kept on the matrix, so a caller that
-    reports it computes it once."""
-    jmi = _j_minus_i(phi, jmi)
+    witness that fails it raises InternalCheckError.  J - I and its
+    elimination are kept on phi, so the detector, the solver and a
+    caller that reports the rank share one."""
     report = FixReport(
-        rank_defect_class=rank_defect_class(phi, jmi),
-        witness_in_commutator=fixed_point_in_commutator(phi, jmi=jmi),
+        rank_defect_class=rank_defect_class(phi),
+        witness_in_commutator=fixed_point_in_commutator(phi),
     )
-    solver = CosetSolver(phi, jmi)
+    solver = CosetSolver(phi)
     for a in coset_box(phi.rank, bound):
         report.cosets.append(solver.solve(a))
     return report

@@ -14,6 +14,7 @@ membership sum  sum_i u_i (x_i - 1),  which vanishes exactly on the
 coordinate vectors of commutator-subgroup elements, and the peel of one
 polynomial by x_j - 1.  The row is built once per variable count, so
 each x_j - 1 keeps its divisor normal form across exact divisions.
+Likewise J and J - I are built once per endomorphism and kept on it.
 """
 
 from __future__ import annotations
@@ -65,10 +66,21 @@ def fox_derivative(w, i):
 
 
 def jacobian(phi):
-    """Matrix whose row i holds the derivatives of the i-th image word."""
-    n = phi.rank
-    rows = [word_coords(y) for y in phi.images]
-    return LaurentMatrix(n, rows)
+    """Matrix whose row i holds the derivatives of the i-th image word,
+    built on first use and kept on phi."""
+    if phi._jacobian is None:
+        phi._jacobian = LaurentMatrix(phi.rank, [word_coords(y) for y in phi.images])
+    return phi._jacobian
+
+
+def j_minus_i(phi):
+    """J - I, built on first use and kept on phi, so its memoized
+    elimination, rank, determinant and left kernel basis serve every
+    later caller."""
+    if phi._jmi is None:
+        n = phi.rank
+        phi._jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+    return phi._jmi
 
 
 def product_rule_holds(phi, psi):

@@ -641,16 +641,19 @@ def parse_poly(text, nvars):
         saw_factor = False
         while True:
             tok, at = tokens[pos]
-            if tok.isdigit():
+            if tok.isdecimal():
                 coeff *= int(tok)
                 pos += 1
-            elif tok.startswith("x"):
+            elif tok.startswith("x") and len(tok) > 1:
                 idx = int(tok[1:])
                 if not 1 <= idx <= nvars:
                     fail(f"variable {tok} out of range for {nvars} variables", at)
                 e = 1
                 if pos + 1 < len(tokens) and tokens[pos + 1][0].startswith("^"):
-                    e = int(tokens[pos + 1][0][1:])
+                    power, where = tokens[pos + 1]
+                    if power == "^":
+                        fail("exponent needs digits", where)
+                    e = int(power[1:])
                     pos += 1
                 expts[idx - 1] += e
                 pos += 1

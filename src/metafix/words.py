@@ -22,6 +22,12 @@ from functools import lru_cache
 # keeps the partial exponent sums of such words inside the packed
 # monomial fields of `laurent`.
 MAX_LETTERS = 1 << 20
+# The most digits, after leading zeros, that a generator index or an
+# exponent may have.  A longer number is past MAX_LETTERS: more letters
+# than a power may build, and more generators than a Jacobian of rank^2
+# entries could hold.  int() refuses a run of more than 4300 digits with
+# a message that has no position, so the length is checked first.
+MAX_DIGITS = len(str(MAX_LETTERS))
 
 
 class WordError(ValueError):
@@ -154,6 +160,18 @@ def check_size(size, what, position=None):
         raise WordError(f"{what} of {size} letters exceeds the limit of {MAX_LETTERS}", position)
 
 
+def parse_digits(digits, position=None):
+    """The value of a run of decimal digits.  Raises WordError, which
+    names the run's length but not its digits, when the run is longer
+    than MAX_DIGITS after its leading zeros."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise WordError(
+            f"number of {len(digits)} digits exceeds the limit of {MAX_DIGITS} digits", position
+        )
+    return int(digits)
+
+
 @lru_cache(maxsize=16)
 def _letter_tokens(rank):
     """Tokens indexed by letter: "xK" at K and, by negative indexing,
@@ -203,18 +221,20 @@ def _tokenize(text):
                 j += 1
             if j == i + 1:
                 raise WordError("generator name needs an index", i)
-            tokens.append(("gen", int(text[i + 1 : j]), i))
+            tokens.append(("gen", parse_digits(text[i + 1 : j], i), i))
             i = j
         elif ch == "^":
             j = i + 1
+            sign = 1
             if j < n and text[j] == "-":
                 j += 1
+                sign = -1
             k = j
             while k < n and text[k].isdecimal():
                 k += 1
             if k == j:
                 raise WordError("exponent needs digits", i)
-            tokens.append(("pow", int(text[i + 1 : k]), i))
+            tokens.append(("pow", sign * parse_digits(text[j:k], i), i))
             i = k
         elif ch in "[](),":
             tokens.append((ch, None, i))

@@ -206,7 +206,7 @@ def test_bridge_on_four_strands():
         jmi = gassner(phi) - LaurentMatrix.identity(4, 4)
         vanishes = alexander_vanishes(b)
         assert vanishes == (jmi.rank() <= 2), b
-        witness = fixed_point_in_commutator(phi, jmi=jmi)
+        witness = fixed_point_in_commutator(phi)
         if vanishes:
             count_vanishing += 1
             assert witness is not None and is_fixed(phi, witness), b

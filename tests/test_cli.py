@@ -4,13 +4,13 @@ import re
 
 import pytest
 
-from metafix import cli, fixpoint
+from metafix import cli, fox
 from metafix.braid import GassnerConventionError
 from metafix.cli import main
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly
 from metafix.matrices import ExactDivisionError
-from metafix.words import MAX_LETTERS
+from metafix.words import MAX_LETTERS, word_to_text
 from tests.conftest import data_path
 
 
@@ -273,34 +273,68 @@ def test_json_report_is_one_line(capsys, argv, name):
     assert rep == golden(name)
 
 
+RUN = 5000  # digits: past the 4300 that int() converts
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify", data_path("infinite_fix.endo"), "x²"], "generator name needs an index (at position 0)"),
     (["verify", data_path("infinite_fix.endo"), "x1^²"], "exponent needs digits (at position 2)"),
     (["analyze", "SQUARE"], "line 1: left side must be a generator, got 'x²'"),
+    pytest.param(
+        ["verify", data_path("infinite_fix.endo"), "x1^" + "1" * RUN],
+        f"number of {RUN} digits exceeds the limit of 7 digits (at position 2)",
+        id="long-exponent",
+    ),
+    pytest.param(
+        ["analyze", "LONG_LEFT"],
+        f"line 2: left side: number of {RUN} digits exceeds the limit of 7 digits (at position 0)",
+        id="long-left-side",
+    ),
 ])
 def test_digits_that_int_rejects_are_input_errors(tmp_path, capsys, argv, message):
-    # "²" is a digit to str.isdigit, but int() rejects it
-    square = tmp_path / "square.endo"
-    square.write_text("x² -> x1\n", encoding="utf-8")
-    argv = [str(square) if a == "SQUARE" else a for a in argv]
+    # "²" is a digit to str.isdigit, but int() rejects it, as it rejects a
+    # run of more than 4300 digits; the message does not echo the run
+    files = {"SQUARE": "x² -> x1\n", "LONG_LEFT": "x1 -> x1\nx" + "2" * RUN + " -> x2\n"}
+    for key, text in files.items():
+        (tmp_path / key).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
 
 
+def test_leading_zeros_of_a_long_exponent_are_dropped(tmp_path, capsys):
+    f = tmp_path / "padded.endo"
+    f.write_text("x1 -> x1^" + "0" * RUN + "1\nx2 -> x2 [x1,x2]\n")
+    rep = run_json(capsys, "analyze", str(f), "--bound", "0", "--json")
+    assert rep["input"]["images"] == ["x1", "x2 x1^-1 x2^-1 x1 x2"]
+
+
+def record_image_passes(monkeypatch):
+    """The words of the Fox passes that `fox.jacobian` runs: one per image
+    word each time it builds J, and none when it returns the kept J."""
+    passes = []
+
+    def recording(w, abelian=False, _word_coords=fox.word_coords):
+        passes.append(w)
+        return _word_coords(w, abelian)
+
+    monkeypatch.setattr(fox, "word_coords", recording)
+    return passes
+
+
 def test_analyze_builds_the_jacobian_once(monkeypatch, capsys):
-    calls = []
-
-    def counting(phi, _jacobian=cli.jacobian):
-        calls.append(phi)
-        return _jacobian(phi)
-
-    monkeypatch.setattr(cli, "jacobian", counting)
-    monkeypatch.setattr(fixpoint, "jacobian", counting)
+    passes = record_image_passes(monkeypatch)
     for fixture in ("displaced_pair", "infinite_fix", "rank_deficient"):
-        calls.clear()
-        run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "1", "--json")
-        assert len(calls) == 1, fixture
+        passes.clear()
+        rep = run_json(capsys, "analyze", data_path(fixture + ".endo"), "--bound", "1", "--json")
+        assert [word_to_text(w) for w in passes] == rep["input"]["images"], fixture
+
+
+def test_braid_builds_the_jacobian_once(monkeypatch, capsys):
+    passes = record_image_passes(monkeypatch)
+    rep = run_json(capsys, "braid", "3", "A[1,2] A[1,3]", "--json")
+    assert [word_to_text(w) for w in passes] == rep["braid"]["automorphism"]
 
 
 def test_nested_commutators_are_rejected_before_expanding(tmp_path, capsys):
@@ -317,7 +351,7 @@ def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("the Jacobian was built for an oversized box")
 
-    monkeypatch.setattr(cli, "jacobian", fail)
+    monkeypatch.setattr(fox, "word_coords", fail)
     code, out, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"), "--bound", "1000")
     assert code == 2 and out == ""
     assert "--bound" in err and str(cli.MAX_COSETS) in err

@@ -87,6 +87,20 @@ def test_image_that_reduces_below_the_limit_is_kept():
     assert phi.apply(w) == g.inverse() * w * g
 
 
+def test_left_sides_drop_leading_zeros_and_cap_their_digits():
+    zeros = "0" * 5000
+    phi = parse_endomorphism(f"x{zeros}1 -> x1^{zeros}2\nx2 -> x2\n")
+    assert phi.images == (parse_word("x1^2", 2), parse_word("x2", 2))
+    with pytest.raises(WordError) as info:
+        parse_endomorphism(f"x1 -> x1\n\n# padded\nx{'3' * 5000} -> x1\n")
+    assert str(info.value) == (
+        "line 4: left side: number of 5000 digits exceeds the limit of 7 digits (at position 0)"
+    )
+    # a long run on the right side keeps its line number
+    with pytest.raises(WordError, match=r"^line 2: number of 5000 digits .* \(at position 3\)$"):
+        parse_endomorphism(f"x1 -> x1\nx2 -> x2 x{'1' * 5000}\n")
+
+
 def test_equal_values_hash_equal():
     # each pair is built two ways; equal objects must collapse in a set
     x1, x2 = Word.generator(0, 2), Word.generator(1, 2)

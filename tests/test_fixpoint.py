@@ -274,6 +274,29 @@ def test_search_report_shape(infinite_fix):
             assert is_fixed(infinite_fix, c.witness)
 
 
+def test_a_second_search_reuses_the_elimination_of_j_minus_i(monkeypatch):
+    # J - I is kept on phi and its elimination on J - I, which a transpose
+    # takes over, so two searches on one phi run the Bareiss loop over
+    # J - I or (J - I)^T once
+    eliminated = []
+    elimination = LaurentMatrix._elimination
+
+    def recording(m):
+        if m._pivots is None:
+            eliminated.append(m)
+        return elimination(m)
+
+    monkeypatch.setattr(LaurentMatrix, "_elimination", recording)
+    for phi in _fixtures():
+        n = phi.rank
+        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        eliminated.clear()
+        first = search_fixed(phi, 1)
+        second = search_fixed(phi, 1)
+        assert sum(m == jmi or m == jmi.transpose() for m in eliminated) == 1
+        assert first == second
+
+
 def test_witness_soundness_random():
     rng = random.Random(53)
     for _ in range(20):
@@ -546,7 +569,7 @@ def test_evaluated_fox_pass_is_the_exact_pass_at_the_point_and_keeps_the_chain_r
         d = phi.apply(w) * w.inverse()
         assert word_pass_mod(d.letters, point, SCREEN_PRIME) == moved
         moved_words += any(moved)
-        solver = CosetSolver(phi, jmi)
+        solver = CosetSolver(phi)
         if solver.columns_at_point is not None:
             screened_solvers += 1
             assert [list(col) for col in solver.columns_at_point] == [list(r) for r in zip(*jmi_at)]
@@ -695,6 +718,6 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
         u = commutator_fixed_coords(basis, fs)
         assert is_module_vector(u) and any(u)
         assert all(p.is_zero() for p in jmi.transpose().mul_vector(u))
-        w = fixed_point_in_commutator(phi, jmi=jmi)
+        w = fixed_point_in_commutator(phi)
         assert word_coords(w) == u and is_fixed(phi, w)
     assert combined >= 20, combined

@@ -158,6 +158,20 @@ def test_parse_errors():
         parse_poly("x1 & x2", 2)
 
 
+@pytest.mark.parametrize("text,at,what", [
+    ("x1 + ²", 5, "unexpected token '²'"),
+    ("x1^²", 2, "exponent needs digits"),
+    ("x1^-", 2, "exponent needs digits"),
+    ("x", 0, "unexpected token 'x'"),
+    ("x²", 0, "unexpected token 'x'"),
+])
+def test_parse_errors_on_digits_int_rejects_carry_position(text, at, what):
+    # "²" is a digit to str.isdigit, but int() rejects it
+    with pytest.raises(ValueError) as info:
+        parse_poly(text, 2)
+    assert str(info.value) == f"polynomial syntax error at position {at}: {what}"
+
+
 def test_power():
     assert P("x1 + 1") ** 2 == P("x1^2 + 2*x1 + 1")
     assert P("x1") ** -3 == P("x1^-3")

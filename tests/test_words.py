@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from metafix.samples import random_word
 from metafix.words import (
+    MAX_DIGITS,
     MAX_LETTERS,
     Word,
     WordError,
@@ -108,6 +109,27 @@ def test_parse_errors_carry_position():
         parse_word("[x1]", 2)
     with pytest.raises(WordError):
         parse_word("(x1", 2)
+
+
+def test_digit_runs_drop_leading_zeros_and_are_capped():
+    # int() refuses more than 4300 digits; the tokenizer drops leading
+    # zeros first and rejects, by length and position, a run that is
+    # still longer than MAX_DIGITS
+    zeros = "0" * 5000
+    assert parse_word(f"x{zeros}2^-{zeros}3 x1^{zeros}", 2) == parse_word("x2^-3", 2)
+    assert parse_word(f"x1^{zeros}{MAX_LETTERS}", 1) == Word(1, (1,) * MAX_LETTERS)
+    for text, at, digits in (
+        (f"x1^-{'9' * 5000}", 2, 5000),
+        (f"x1 x{'1' * 5000}", 3, 5000),
+        (f"x1^1{zeros}", 2, 5001),
+        (f"x{zeros}{10 ** MAX_DIGITS}", 0, MAX_DIGITS + 1),
+    ):
+        with pytest.raises(WordError) as info:
+            parse_word(text, 2)
+        assert str(info.value) == (
+            f"number of {digits} digits exceeds the limit of {MAX_DIGITS} digits"
+            f" (at position {at})"
+        )
 
 
 def test_text_round_trip():
