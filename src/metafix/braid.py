@@ -29,6 +29,7 @@ of the Laurent ring (elsewhere often written t_1..t_n).
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .endo import Endomorphism
@@ -36,7 +37,7 @@ from .errors import InvariantError
 from .fox import jacobian, membership_row
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
-from .words import MAX_LETTERS, Word, WordError
+from .words import Word, WordError, check_size, parse_digits
 
 
 class GassnerConventionError(InvariantError, RuntimeError):
@@ -97,40 +98,33 @@ def braid_to_text(b):
     )
 
 
+# A whitespace-separated token, and its forms: "1", or A[i,j] with an
+# optional exponent.
+_TOKEN_RE = re.compile(r"\S+")
+_FORM_RE = re.compile(r"1|A\[([0-9]+),([0-9]+)\](?:\^(-?)([0-9]+))?")
+
+
 def parse_braid(text, strands):
     """Parse whitespace-separated tokens A[i,j] and A[i,j]^-1.
 
     An optional integer exponent A[i,j]^k is accepted and expanded; a
     word of more than MAX_LETTERS letters is rejected before it is built.
+    A WordError names the position of its token, never the token.
     """
     letters = []
-    for tok in text.split():
-        if tok == "1":
+    for tok in _TOKEN_RE.finditer(text):
+        at = tok.start()
+        m = _FORM_RE.fullmatch(tok[0])
+        if m is None:
+            raise WordError("expected 1, A[i,j] or A[i,j]^k", at)
+        if m[1] is None:
             continue
-        body = tok
-        power = 1
-        if "^" in tok:
-            body, _, ptxt = tok.partition("^")
-            try:
-                power = int(ptxt)
-            except ValueError:
-                raise WordError(f"bad exponent in braid token {tok!r}") from None
-        if not (body.startswith("A[") and body.endswith("]")):
-            raise WordError(f"bad braid token {tok!r}")
-        inner = body[2:-1]
-        parts = inner.split(",")
-        if len(parts) != 2:
-            raise WordError(f"bad braid token {tok!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise WordError(f"bad braid token {tok!r}") from None
+        i, j = parse_digits(m[1], at), parse_digits(m[2], at)
         if not (1 <= i < j <= strands):
-            raise WordError(f"generator A[{i},{j}] out of range for {strands} strands")
-        if len(letters) + abs(power) > MAX_LETTERS:
-            raise WordError(f"braid word exceeds the limit of {MAX_LETTERS} letters")
-        sign = 1 if power > 0 else -1
-        letters.extend([(i, j, sign)] * abs(power))
+            raise WordError(f"generator A[{i},{j}] out of range for {strands} strands", at)
+        power = 1 if m[4] is None else parse_digits(m[4], at)
+        check_size(len(letters) + power, "braid word", at)
+        letters.extend([(i, j, -1 if m[3] else 1)] * power)
     return BraidWord(strands, letters)
 
 

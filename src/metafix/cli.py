@@ -3,8 +3,8 @@
 Subcommands: analyze (endomorphism file), braid (braid word), verify
 (endomorphism file + word), selftest (randomized invariant batch).
 
-Exit codes: 0 analysis completed, 2 input error, 3 internal invariant
-violation.
+Exit codes: 0 analysis completed, 2 input error (a WordError, which
+only `main` reports), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -83,8 +83,11 @@ def _pretty(d, indent=0):
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise WordError(str(e)) from None
 
 
 # The largest coset box `analyze` accepts; the box of --bound b on n
@@ -97,23 +100,15 @@ MAX_STRANDS = 128
 
 def cmd_analyze(args):
     if args.bound < 0:
-        print(f"error: --bound must be nonnegative, got {args.bound}", file=sys.stderr)
-        return 2
-    try:
-        phi = parse_endomorphism(_read(args.file))
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise WordError(f"--bound must be nonnegative, got {args.bound}")
+    phi = parse_endomorphism(_read(args.file))
     n = phi.rank
     # with a bound >= 1, MAX_COSETS.bit_length() generators already exceed
     # the limit, so n is clipped there and the power stays small
     if (2 * args.bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:
-        print(
-            f"error: --bound {args.bound} on {n} generators gives more than "
-            f"{MAX_COSETS} cosets",
-            file=sys.stderr,
+        raise WordError(
+            f"--bound {args.bound} on {n} generators gives more than {MAX_COSETS} cosets"
         )
-        return 2
     start = time.perf_counter()
     jmi = j_minus_i(phi)
     # the rank first: its elimination then settles the determinant
@@ -140,14 +135,9 @@ def cmd_analyze(args):
 
 
 def cmd_braid(args):
-    if args.strands > MAX_STRANDS:
-        print(f"error: at most {MAX_STRANDS} strands, got {args.strands}", file=sys.stderr)
-        return 2
-    try:
-        b = parse_braid(args.word, args.strands)
-    except (WordError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if not 2 <= args.strands <= MAX_STRANDS:
+        raise WordError(f"need 2 to {MAX_STRANDS} strands, got {args.strands}")
+    b = parse_braid(args.word, args.strands)
     start = time.perf_counter()
     phi = braid_automorphism(b)
     n = phi.rank
@@ -190,12 +180,8 @@ def cmd_braid(args):
 
 
 def cmd_verify(args):
-    try:
-        phi = parse_endomorphism(_read(args.file))
-        g = parse_word(args.word, phi.rank)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    phi = parse_endomorphism(_read(args.file))
+    g = parse_word(args.word, phi.rank)
     # one oracle element of the difference word gives both the answer
     # and its coordinates
     diff = MagnusElement.of_word(phi.apply(g) * g.inverse())

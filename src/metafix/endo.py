@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from .words import MAX_LETTERS, Word, WordError, junction, parse_digits, parse_word, word_to_text
 
 
@@ -118,7 +120,7 @@ def parse_endomorphism(text):
             raise WordError(f"line {lineno}: expected 'xI -> word'")
         lhs, rhs = line.split("->", 1)
         lhs = lhs.strip()
-        if not lhs.startswith("x") or not lhs[1:].isdecimal():
+        if not re.fullmatch("x[0-9]+", lhs):
             raise WordError(f"line {lineno}: left side must be a generator, got {lhs!r}")
         try:
             idx = parse_digits(lhs[1:], 0)

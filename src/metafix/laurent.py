@@ -626,6 +626,13 @@ def parse_poly(text, nvars):
     def fail(msg, at):
         raise ValueError(f"polynomial syntax error at position {at}: {msg}")
 
+    def number(digits, at):
+        # int() refuses a run of more than sys.get_int_max_str_digits() digits
+        try:
+            return int(digits)
+        except ValueError:
+            fail(f"number of {len(digits.lstrip('-'))} digits is too long", at)
+
     while pos < len(tokens):
         sign = 1
         tok, at = tokens[pos]
@@ -641,24 +648,25 @@ def parse_poly(text, nvars):
         saw_factor = False
         while True:
             tok, at = tokens[pos]
-            if tok.isdecimal():
-                coeff *= int(tok)
+            if "0" <= tok[0] <= "9":
+                coeff *= number(tok, at)
                 pos += 1
             elif tok.startswith("x") and len(tok) > 1:
-                idx = int(tok[1:])
+                idx = number(tok[1:], at)
                 if not 1 <= idx <= nvars:
-                    fail(f"variable {tok} out of range for {nvars} variables", at)
+                    fail(f"variable out of range for {nvars} variables", at)
                 e = 1
                 if pos + 1 < len(tokens) and tokens[pos + 1][0].startswith("^"):
                     power, where = tokens[pos + 1]
                     if power == "^":
                         fail("exponent needs digits", where)
-                    e = int(power[1:])
+                    e = number(power[1:], where)
                     pos += 1
                 expts[idx - 1] += e
                 pos += 1
             else:
-                fail(f"unexpected token {tok!r}", at)
+                # the first character: a token may be a long run of digits
+                fail(f"unexpected token {tok[0]!r}", at)
             saw_factor = True
             if pos < len(tokens) and tokens[pos][0] == "*":
                 pos += 1
@@ -675,7 +683,7 @@ def parse_poly(text, nvars):
         elif key in terms:
             del terms[key]
         if pos < len(tokens) and tokens[pos][0] not in "+-":
-            fail(f"expected '+' or '-', got {tokens[pos][0]!r}", tokens[pos][1])
+            fail(f"expected '+' or '-', got {tokens[pos][0][0]!r}", tokens[pos][1])
     return LaurentPoly(nvars, terms)
 
 

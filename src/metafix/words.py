@@ -31,6 +31,10 @@ MAX_DIGITS = len(str(MAX_LETTERS))
 
 
 class WordError(ValueError):
+    """Malformed or oversized input: the one input-error type, which
+    `cli.main` reports on stderr with exit status 2.  With a position,
+    the message ends with where in its text the input went wrong."""
+
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
@@ -161,9 +165,11 @@ def check_size(size, what, position=None):
 
 
 def parse_digits(digits, position=None):
-    """The value of a run of decimal digits.  Raises WordError, which
-    names the run's length but not its digits, when the run is longer
-    than MAX_DIGITS after its leading zeros."""
+    """The value of a run of ASCII digits 0-9, the one digit class of
+    every grammar in the package (str.isdecimal and int() also take the
+    digits of other scripts, such as "٣").  Raises WordError, which names
+    the run's length but not its digits, when the run is longer than
+    MAX_DIGITS after its leading zeros."""
     digits = digits.lstrip("0") or "0"
     if len(digits) > MAX_DIGITS:
         raise WordError(
@@ -217,7 +223,7 @@ def _tokenize(text):
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise WordError("generator name needs an index", i)
@@ -230,7 +236,7 @@ def _tokenize(text):
                 j += 1
                 sign = -1
             k = j
-            while k < n and text[k].isdecimal():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise WordError("exponent needs digits", i)

@@ -52,12 +52,31 @@ def test_parse_and_text():
 
 def test_parse_errors():
     for bad in ("A[2,1]", "A[0,2]", "A[1,4]", "B[1,2]", "A[1,2]^x"):
-        with pytest.raises((WordError, ValueError)):
+        with pytest.raises(WordError):
             parse_braid(bad, 3)
     # the running letter count is checked before a power is expanded
     for bad in (f"A[1,2]^{MAX_LETTERS + 1}", f"A[1,2] A[1,3]^-{MAX_LETTERS}"):
         with pytest.raises(WordError, match="exceeds the limit"):
             parse_braid(bad, 3)
+
+
+RUN = "7" * 5000  # digits: past the 4300 that int() converts
+
+
+@pytest.mark.parametrize("token", [
+    "B[1,2]", "A[1,2", "A[1,2]^", "A[1,2]^x", "A[+1,2]", "A[1,2]^1_0", "A[1,2]^+2",
+    "A[1,2]^٣", "A[١,2]", "A[1,2]^--1", "1^2",
+    "A[1,2]^N", "A[1,2]^-N", "A[N,2]", "A[1,N]", "A[1,N", "A[1,2]^Nx",
+])
+def test_parse_errors_carry_the_token_position_and_no_digits(token):
+    # only ASCII digits are read; a rejected token is named by its
+    # position, so the digits of a run N are never repeated back
+    with pytest.raises(WordError) as info:
+        parse_braid(f"A[1,2]  {token.replace('N', RUN)} A[1,3]", 3)
+    assert type(info.value) is WordError
+    assert info.value.position == 8
+    assert str(info.value).endswith(" (at position 8)")
+    assert "7" * 8 not in str(info.value) and len(str(info.value)) < 100
 
 
 def artin_automorphism(i, n, inverse=False):

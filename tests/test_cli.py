@@ -355,3 +355,30 @@ def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"), "--bound", "1000")
     assert code == 2 and out == ""
     assert "--bound" in err and str(cli.MAX_COSETS) in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["analyze", "MISSING"], id="missing-file"),
+    pytest.param(["analyze", "DIR"], id="directory"),
+    pytest.param(["verify", "UNDECODABLE", "x1"], id="undecodable-file"),
+    pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "-1"], id="negative-bound"),
+    pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "1000"], id="box-over-cap"),
+    pytest.param(["braid", "1", "1"], id="one-strand"),
+    pytest.param(["braid", "200", "1"], id="too-many-strands"),
+    pytest.param(["braid", "3", "A[1,2] B[1,2]"], id="bad-braid-token"),
+    pytest.param(["braid", "3", "A[1,2]^" + "1" * RUN], id="long-braid-exponent"),
+    pytest.param(["braid", "3", f"A[{'1' * RUN},2]"], id="long-braid-index"),
+    pytest.param(["braid", "3", "A[1,2]^1_0"], id="underscore-exponent"),
+    pytest.param(["braid", "3", "A[1,2]^+2"], id="plus-exponent"),
+    pytest.param(["braid", "3", "A[1,2]^٣"], id="arabic-indic-exponent"),
+    pytest.param(["verify", data_path("infinite_fix.endo"), "x1 )"], id="bad-word"),
+])
+def test_every_input_error_is_one_line_on_stderr_and_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "UNDECODABLE").write_bytes(b"x1 -> x1 \xff\n")
+    files = {"MISSING": tmp_path / "missing.endo", "DIR": tmp_path}
+    files["UNDECODABLE"] = tmp_path / "UNDECODABLE"
+    code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
+    assert code == 2 and out == ""
+    line, newline, rest = err.partition("\n")
+    assert newline and not rest
+    assert line.startswith("error: ") and "Traceback" not in line and len(line) <= 200

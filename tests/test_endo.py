@@ -101,6 +101,12 @@ def test_left_sides_drop_leading_zeros_and_cap_their_digits():
         parse_endomorphism(f"x1 -> x1\nx2 -> x2 x{'1' * 5000}\n")
 
 
+def test_left_sides_read_ascii_digits_only():
+    with pytest.raises(WordError) as info:
+        parse_endomorphism("x1 -> x1\nx١ -> x2\n")
+    assert str(info.value) == "line 2: left side must be a generator, got 'x١'"
+
+
 def test_equal_values_hash_equal():
     # each pair is built two ways; equal objects must collapse in a set
     x1, x2 = Word.generator(0, 2), Word.generator(1, 2)

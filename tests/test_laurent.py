@@ -158,18 +158,41 @@ def test_parse_errors():
         parse_poly("x1 & x2", 2)
 
 
+RUN = "1" * 5000  # digits: past the 4300 that int() converts
+
+
 @pytest.mark.parametrize("text,at,what", [
     ("x1 + ²", 5, "unexpected token '²'"),
+    ("x1 + ٣", 5, "unexpected token '٣'"),
+    ("x1^٣", 2, "exponent needs digits"),
+    ("x1^N", 2, "number of 5000 digits is too long"),
+    ("x1^-N", 2, "number of 5000 digits is too long"),
+    ("x2 - N*x1", 5, "number of 5000 digits is too long"),
+    ("x1 + xN", 5, "number of 5000 digits is too long"),
+    ("x1 N", 3, "expected '+' or '-', got '1'"),
+    ("x1 + ^N", 5, "unexpected token '^'"),
     ("x1^²", 2, "exponent needs digits"),
     ("x1^-", 2, "exponent needs digits"),
     ("x", 0, "unexpected token 'x'"),
     ("x²", 0, "unexpected token 'x'"),
 ])
 def test_parse_errors_on_digits_int_rejects_carry_position(text, at, what):
-    # "²" is a digit to str.isdigit, but int() rejects it
+    # only ASCII digits are digits: "²" is one to str.isdigit and "٣" to
+    # int() too; a run N that int() refuses is named by its length
     with pytest.raises(ValueError) as info:
-        parse_poly(text, 2)
+        parse_poly(text.replace("N", RUN), 2)
     assert str(info.value) == f"polynomial syntax error at position {at}: {what}"
+
+
+def test_coefficients_are_unbounded_below_the_int_limit():
+    big = "9" * 4000
+    assert parse_poly(f"{big}*x1 - {big}", 2) == P("x1 - 1") * int(big)
+    # an index that int() reads is range-checked without being repeated
+    with pytest.raises(ValueError) as info:
+        parse_poly(f"x{big}", 2)
+    assert str(info.value) == (
+        "polynomial syntax error at position 0: variable out of range for 2 variables"
+    )
 
 
 def test_power():

@@ -132,6 +132,19 @@ def test_digit_runs_drop_leading_zeros_and_are_capped():
         )
 
 
+@pytest.mark.parametrize("text,at,message", [
+    ("x1 x١", 3, "generator name needs an index"),
+    ("x1^٣", 2, "exponent needs digits"),
+    ("x1^-٣", 2, "exponent needs digits"),
+])
+def test_only_ascii_digits_are_digits(text, at, message):
+    # str.isdecimal and int() also read "١" and "٣"; the grammar does not
+    with pytest.raises(WordError) as info:
+        parse_word(text, 2)
+    assert info.value.position == at
+    assert str(info.value) == f"{message} (at position {at})"
+
+
 def test_text_round_trip():
     rng = random.Random(10)
     for _ in range(200):
