@@ -201,6 +201,7 @@ def cmd_selftest(args):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="metafix",
         description=(
@@ -209,39 +210,56 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("analyze", help="analyze an endomorphism file")
+    p = commands["analyze"] = sub.add_parser("analyze", help="analyze an endomorphism file")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=2, help="coset exponent box (default 2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("braid", help="analyze a pure braid word")
+    p = commands["braid"] = sub.add_parser("braid", help="analyze a pure braid word")
     p.add_argument("strands", type=int)
     p.add_argument("word")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_braid)
 
-    p = sub.add_parser("verify", help="check whether a word is fixed")
+    p = commands["verify"] = sub.add_parser("verify", help="check whether a word is fixed")
     p.add_argument("file")
     p.add_argument("word")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="run randomized invariant checks")
+    p = commands["selftest"] = sub.add_parser("selftest", help="run randomized invariant checks")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, commands
 
 
 # argparse keeps no state between parse_args calls, so one parser serves
 # every call of `main` in a process
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse(argv):
+    """The arguments of one call, parsed once.  A known command's parser
+    reads the rest of argv itself, as the full parse would have it do;
+    its prog is already "metafix <command>", so its usage, help and
+    errors read the same.  The full parse is left no command, an unknown
+    one or a top-level option, whose usage, help or error it prints."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        # the full parse reports what the subcommand leaves over
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except WordError as e:

@@ -7,6 +7,10 @@ import re
 from .words import MAX_LETTERS, Word, WordError, junction, parse_digits, parse_word, word_to_text
 
 
+# The longest left side that an error message quotes.
+MAX_QUOTED = 40
+
+
 class Endomorphism:
     """An endomorphism given by its generator images.  Immutable: nothing
     writes `images` after `__init__`, so `apply` keeps a table of the
@@ -121,7 +125,10 @@ def parse_endomorphism(text):
         lhs, rhs = line.split("->", 1)
         lhs = lhs.strip()
         if not re.fullmatch("x[0-9]+", lhs):
-            raise WordError(f"line {lineno}: left side must be a generator, got {lhs!r}")
+            # a long side is named by its length, as `parse_digits` names
+            # a long number
+            got = repr(lhs) if len(lhs) <= MAX_QUOTED else f"a side of {len(lhs)} characters"
+            raise WordError(f"line {lineno}: left side must be a generator, got {got}")
         try:
             idx = parse_digits(lhs[1:], 0)
         except WordError as e:

@@ -146,7 +146,10 @@ def commutator_fixed_coords(basis, fs):
     if len(basis) < 2:
         return None
     (k1, k2), (f1, f2) = basis[:2], fs[:2]
-    return normalize_vector([f2 * a - f1 * b for a, b in zip(k1, k2)], f1.nvars)
+    n = f1.nvars
+    return normalize_vector(
+        [LaurentPoly.sum_products(n, ((1, f2, a), (-1, f1, b))) for a, b in zip(k1, k2)]
+    )
 
 
 def fixed_point_in_commutator(phi):

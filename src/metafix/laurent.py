@@ -13,9 +13,12 @@ Conventions fixed here and relied on elsewhere:
   any nonzero polynomial as unit * poly with all minimum exponents 0 and a
   positive leading coefficient, the unit carrying the sign;
 * divisibility by a one-term divisor is decided on the coefficients;
-  any other divisor takes single-divisor long division: integer
-  quotient steps are forced whenever the quotient exists in the ring, so
-  any failing step certifies non-divisibility.
+  any other divisor takes single-divisor long division of the
+  dividend's own terms, with no normal form of the dividend: integer
+  quotient steps are forced whenever the quotient exists in the ring,
+  and a quotient monomial below the dividend's minimum exponents less
+  the divisor's cannot occur then (Ostrowski), so either failing step
+  certifies non-divisibility.
 
 Monomial keys.  This module alone knows how a monomial is stored: the
 exponent vector e is packed into one int (Kronecker substitution with a
@@ -27,8 +30,10 @@ Integer order of keys is then graded-lex order of monomials, the product
 of monomials is `ka + kb - origin`, and a field that leaves [-_H, _H)
 sets its guard bit.  Products and shifts check the guard bits of their
 result keys, the word pass bounds its partial sums by the word length,
-and long division stays within the range of the dividend, so an overflow
-raises `ExponentOverflowError` and never aliases two monomials.
+and long division checks that the dividend and the divisor each span
+less than the field range, which keeps its keys exact, and checks its
+quotient, so an overflow raises `ExponentOverflowError` and never
+aliases two monomials.
 Everything that takes or returns exponents outside this module uses
 tuples.
 
@@ -264,9 +269,10 @@ class LaurentPoly:
     """Immutable integer Laurent polynomial in a fixed number of variables.
 
     `terms` maps packed monomial keys to nonzero coefficients; use
-    `exponent_terms` for the map keyed by exponent tuples.  The normal
-    form is kept once the polynomial has served as a divisor: one
-    determinant or pivot divides many entries in a row.
+    `exponent_terms` for the map keyed by exponent tuples.  What long
+    division reads of a divisor (`_divisor_form`) is kept once the
+    polynomial has served as one: one determinant or pivot divides many
+    entries in a row.
     """
 
     __slots__ = ("nvars", "terms", "_divisor_form")
@@ -480,51 +486,58 @@ class LaurentPoly:
         _check(out, n)
         return LaurentPoly._raw(n, out)
 
-    def _normal_form(self):
-        """(terms, shift, sign): self = sign * x^-m * terms, where the
-        terms have minimum exponent 0 in every variable and a positive
-        leading coefficient, and shift = origin - key(m)."""
-        terms = self.terms
-        if not terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        n = self.nvars
-        origin = _origin(n)
-        if len(terms) == 1:
-            ((k, c),) = terms.items()
-            return {origin: abs(c)}, origin - k, 1 if c > 0 else -1
-        # the key of the minimum exponents, assembled field by field
-        low = deg = 0
-        for pos in range(0, _W * n, _W):
-            field = min((k >> pos) & _MASK for k in terms)
-            low |= field << pos
-            deg += field - _H
-        if not -_H <= deg < _H:
-            raise ExponentOverflowError(_OUT_OF_RANGE)
-        shift = origin - (((deg + _H) << (_W * n)) | low)
-        sign = 1 if terms[max(terms)] > 0 else -1
-        # graded lex is a monomial order, so the shift keeps the leading term
-        return _mul_term(terms, shift, sign, n), shift, sign
-
     def normalized(self):
         """Factor self = unit * poly with min exponent 0 in every variable.
 
         The unit is a signed monomial chosen so that poly's leading
         coefficient is positive.  Raises on zero input.
         """
-        terms, shift, sign = self._normal_form()
-        n = self.nvars
-        unit = {_origin(n) - shift: sign}
-        return LaurentPoly._raw(n, terms), LaurentPoly._raw(n, unit)
+        terms, n = self.terms, self.nvars
+        if not terms:
+            raise ValueError("cannot normalize the zero polynomial")
+        low = _low(terms, n)
+        shift = _origin(n) - low
+        sign = 1 if terms[max(terms)] > 0 else -1
+        # graded lex is a monomial order, so the shift keeps the leading
+        # term, and `_low` has checked the shifted keys' range
+        poly = {k + shift: v * sign for k, v in terms.items()}
+        return LaurentPoly._raw(n, poly), LaurentPoly._raw(n, {low: sign})
+
+    def normalizer(self):
+        """The inverse of the unit of `normalized`: self times it is the
+        polynomial of `normalized`.  Built without that polynomial."""
+        terms, n = self.terms, self.nvars
+        if not terms:
+            raise ValueError("cannot normalize the zero polynomial")
+        # the key of -m is 2 origin - key(m): its fields stay in (0, 2 _H]
+        inverse = 2 * _origin(n) - _low(terms, n)
+        _check((inverse,), n)
+        return LaurentPoly._raw(n, {inverse: 1 if terms[max(terms)] > 0 else -1})
+
+    def primitive_times(self, c):
+        """The polynomial of `normalized` divided by its content, times
+        the positive integer c, with the form that division by it reads
+        already set: its minimum exponents are 0."""
+        terms, n = self.terms, self.nvars
+        shift = _origin(n) - _low(terms, n)
+        if terms[max(terms)] < 0:
+            c = -c
+        g = self.content()
+        # `_low` has checked the shifted keys' range
+        out = {k + shift: v // g * c for k, v in terms.items()}
+        p = LaurentPoly._raw(n, out)
+        p._divisor_form = _divisor_form(out, n, _origin(n))
+        return p
 
     def divide_exact(self, divisor):
         """Quotient q with self = q * divisor in the ring, or None.
 
         A divisor c * x^m is a shift of the exponents and a division of
-        every coefficient by c.  Any other divisor takes single-divisor
-        long division under graded lex order after pulling out monomial
-        units.  If the quotient exists its leading coefficients divide at
-        every step, so the integer division below never loses solutions;
-        R is a domain, so both ways give the one quotient there is.
+        every coefficient by c.  Any other divisor takes one long division
+        of the dividend's own terms under graded lex order (see
+        `_long_division`).  If the quotient exists its leading
+        coefficients divide at every step, so the integer division never
+        loses solutions; R is a domain, so there is one quotient.
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
@@ -543,14 +556,10 @@ class LaurentPoly:
             out = {key + shift: v // c for key, v in terms.items()}
             _check(out, n)
             return LaurentPoly._raw(n, out)
-        gterms, gshift, gsign = self._normal_form()
         if divisor._divisor_form is None:
-            divisor._divisor_form = divisor._normal_form()
-        fterms, fshift, fsign = divisor._divisor_form
-        q = _divide_nonneg(gterms, fterms, n)
-        if q is None:
-            return None
-        return LaurentPoly._raw(n, _mul_term(q, fshift - gshift, gsign * fsign, n))
+            divisor._divisor_form = _divisor_form(divisor.terms, n)
+        q = _long_division(self.terms, divisor._divisor_form, n)
+        return None if q is None else LaurentPoly._raw(n, q)
 
     def __str__(self):
         return poly_to_text(self)
@@ -559,18 +568,60 @@ class LaurentPoly:
         return f"LaurentPoly({self.nvars}, {poly_to_text(self)!r})"
 
 
-def _divide_nonneg(g, f, n):
-    """Long division of term maps with nonnegative exponents; None if inexact.
+def _low(terms, n):
+    """Key of the minimum exponent of each variable over a nonempty term
+    map.  Raises ExponentOverflowError when the terms, shifted to minimum
+    exponent 0, would leave the field range: when the minima's degree
+    does, or when a term's degree exceeds it by _H or more.  The shifted
+    exponents of a term are nonnegative and sum to that excess, so each
+    of them is then below _H too."""
+    low = 0
+    deg = -_H * n
+    for pos in range(0, _W * n, _W):
+        # the minimum of a field, read in place
+        mask = _MASK << pos
+        field = min([k & mask for k in terms])
+        low |= field
+        deg += field >> pos
+    if not -_H <= deg < _H or (max(terms) >> (_W * n)) - _H - deg >= _H:
+        raise ExponentOverflowError(_OUT_OF_RANGE)
+    return ((deg + _H) << (_W * n)) | low
+
+
+def _divisor_form(f, n, low=None):
+    """What long division by the term map f reads: its leading key and
+    coefficient, its other terms with keys less the origin, and `_low`
+    (computed unless given)."""
+    origin = _origin(n)
+    fl = max(f)
+    if low is None:
+        low = _low(f, n)
+    return fl, f[fl], [(k - origin, c) for k, c in f.items() if k != fl], low
+
+
+def _long_division(g, form, n):
+    """Quotient term map of g by the divisor of `form`; None if inexact.
 
     The leading monomial of the shrinking remainder is tracked with a
     lazy-deletion heap of negated keys instead of a rescan, and the
-    remainder is mutated in place.  Remainder monomials stay nonnegative
-    with degree at most that of g, so their keys cannot overflow.
+    remainder is mutated in place.
+
+    Ostrowski: if g = q f, the minimum exponent of each variable in g is
+    the sum of those in q and f, so a quotient monomial below low(g) -
+    low(f) in some variable certifies that f does not divide g.  With
+    that test every remainder monomial lies at or above low(g) and no
+    higher in degree than g's leading monomial, a finite set, so the
+    division ends, and `_low`'s range check on g and f keeps every
+    remainder key and every test key below free of carries between
+    fields.  A quotient outside the field range raises at the end.
     """
     origin = _origin(n)
-    fl = max(f)
-    flc = f[fl]
-    frest = [(k - origin, c) for k, c in f.items() if k != fl]
+    fl, flc, frest, flow = form
+    lead_shift = origin - fl
+    # rl + test has the fields (r - low(g)) - (fl - low(f)), plus the
+    # offset _H: each lies in (0, 2 _H), so no field borrows, and each has
+    # its offset bit iff that exponent of the quotient monomial passes
+    test = lead_shift + flow - _low(g, n)
     q = {}
     r = dict(g)
     heap = [-k for k in r]
@@ -582,13 +633,10 @@ def _divide_nonneg(g, f, n):
         rc = r.get(rl)
         if rc is None:
             continue
-        # The fields of rl - fl + origin lie in (0, 2 _H): no borrows, and
-        # each is at least _H, i.e. has its offset bit, iff that exponent
-        # of the quotient monomial is nonnegative.
-        mono = rl - fl + origin
-        if rc % flc or mono & origin != origin:
+        if rc % flc or (rl + test) & origin != origin:
             return None
         c = rc // flc
+        mono = rl + lead_shift
         q[mono] = c
         del r[rl]
         for k, cc in frest:
@@ -604,8 +652,9 @@ def _divide_nonneg(g, f, n):
                     r[key] = cur
                 else:
                     del r[key]
-    if r:
-        return None
+    # every remainder key is pushed when it enters, so the heap empties
+    # only with the remainder
+    _check(q, n)
     return q
 
 
@@ -613,7 +662,10 @@ _TERM_RE = re.compile(r"[+-]|[0-9]+|x[0-9]+|\^-?[0-9]+|\*|\s+|.")
 
 
 def parse_poly(text, nvars):
-    """Parse the textual polynomial syntax: terms like 3*x1^2*x2^-1."""
+    """Parse the textual polynomial syntax: terms like 3*x1^2*x2^-1.
+
+    Every error is a ValueError with a position, among them an exponent
+    or a term's degree outside the packed range [-2^22, 2^22)."""
     tokens = []
     for m in _TERM_RE.finditer(text):
         t = m.group()
@@ -644,6 +696,7 @@ def parse_poly(text, nvars):
                 fail("dangling sign", at)
             tok, at = tokens[pos]
         coeff = sign
+        term_at = at
         expts = [0] * nvars
         saw_factor = False
         while True:
@@ -656,6 +709,7 @@ def parse_poly(text, nvars):
                 if not 1 <= idx <= nvars:
                     fail(f"variable out of range for {nvars} variables", at)
                 e = 1
+                where = at
                 if pos + 1 < len(tokens) and tokens[pos + 1][0].startswith("^"):
                     power, where = tokens[pos + 1]
                     if power == "^":
@@ -663,6 +717,8 @@ def parse_poly(text, nvars):
                     e = number(power[1:], where)
                     pos += 1
                 expts[idx - 1] += e
+                if not -_H <= expts[idx - 1] < _H:
+                    fail(f"exponent outside [-{_H}, {_H})", where)
                 pos += 1
             else:
                 # the first character: a token may be a long run of digits
@@ -676,6 +732,8 @@ def parse_poly(text, nvars):
             break
         if not saw_factor:
             fail("empty term", 0)
+        if not -_H <= sum(expts) < _H:
+            fail(f"degree outside [-{_H}, {_H})", term_at)
         key = tuple(expts)
         cur = terms.get(key, 0) + coeff
         if cur:

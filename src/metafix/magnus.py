@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .fox import membership, peel, word_coords
 from .laurent import LaurentPoly
-from .words import Word, check_size
+from .words import Word, check_size, extend_reduced
 
 
 class MagnusElement:
@@ -117,14 +117,20 @@ def module_power_word(r, u):
     """A word equal to r^u: monomials act by canonical conjugators.
 
     For u = sum of c * x^m, the word is the product over monomials (in
-    sorted order) of (g_m r g_m^-1)^c with g_m = x1^m1 ... xn^mn.
+    sorted order) of g_m r^c g_m^-1 with g_m = x1^m1 ... xn^mn, built as
+    one letter list that cancels only where each piece joins it; the free
+    reduction of the product is unique, so no word is built per monomial.
     """
-    n = r.rank
-    out = Word.identity(n)
+    out = []
+    powers = {}
     for m, c in sorted(u.exponent_terms().items()):
-        g = coset_word(m, n)
-        out = out * (r.conjugated_by(g) ** c)
-    return out
+        if c not in powers:
+            powers[c] = (r ** c).letters
+        g = coset_letters(m)
+        extend_reduced(out, g)
+        extend_reduced(out, powers[c])
+        extend_reduced(out, tuple(-L for L in reversed(g)))
+    return Word._raw(r.rank, tuple(out))
 
 
 def koszul_decompose(u):
@@ -168,7 +174,8 @@ def realize_coords(u):
     out = Word.identity(n)
     for (i, j) in sorted(decomp):
         c = decomp[(i, j)]
-        base = Word.generator(i, n).commutator(Word.generator(j, n))
+        # [x_i, x_j] = x_i^-1 x_j^-1 x_i x_j, freely reduced as i != j
+        base = Word._raw(n, (-i - 1, -j - 1, i + 1, j + 1))
         unit = LaurentPoly.monomial(
             tuple(1 if k in (i, j) else 0 for k in range(n)), n, -1
         )

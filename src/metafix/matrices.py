@@ -242,7 +242,7 @@ class LaurentMatrix:
         z = [LaurentPoly.zero(self.nvars)] * self.cols
         for col, e in zip(sel, c):
             z[col] = e
-        z = normalize_vector(z, self.nvars)
+        z = normalize_vector(z)
         if any(not e.is_zero() for e in self.mul_vector(z)):
             raise ExactDivisionError("kernel vector does not annihilate the matrix")
         return z
@@ -259,34 +259,31 @@ class LaurentMatrix:
         return self._basis
 
 
-def normalize_vector(z, nvars):
+def normalize_vector(z):
     """z, which has a nonzero entry, up to a nonzero ring factor: the
     primitive part q of the entry with fewest terms stripped when it
     divides every entry, the integer content divided out, and the first
     nonzero entry's leading unit removed.  Sound for kernel vectors over
-    a domain: M (z/q) q = 0 forces M (z/q) = 0."""
-    smallest = min((p for p in z if not p.is_zero()), key=lambda p: len(p.terms))
-    q, _ = smallest.normalized()
-    c = q.content()
-    if c > 1:
-        q = q.divide_exact(LaurentPoly.constant(c, nvars))
-    reduced = []
+    a domain: M (z/q) q = 0 forces M (z/q) = 0.
+
+    One pass: each entry takes one division, by g q with g the content
+    of z, and one shift by the inverse of the lead's unit unless that is
+    1.  Gauss: q is primitive, so z_i/q has the content of z_i, and z_i
+    is divisible by g q iff by q.  When q fails to divide an entry, each
+    is divided by g instead.  The lead unit is the lead entry's:
+    normalized polynomials have normalized quotients."""
+    nonzero = [p for p in z if p]
+    g = gcd(*[p.content() for p in nonzero])
+    unit = nonzero[0].normalizer()
+    divisor = min(nonzero, key=lambda p: len(p.terms)).primitive_times(g)
+    out = []
     for p in z:
-        r = p.divide_exact(q)
+        r = p.divide_exact(divisor)
         if r is None:
+            out = z if g == 1 else [p.divide_exact(g) for p in z]
             break
-        reduced.append(r)
-    else:
-        z = reduced
-    g = 0
-    for p in z:
-        g = gcd(g, p.content())
-    if g > 1:
-        z = [p.divide_exact(LaurentPoly.constant(g, nvars)) for p in z]
-    lead = next(p for p in z if not p.is_zero())
-    _, unit = lead.normalized()
-    uinv = unit ** (-1)
-    return [p * uinv for p in z]
+        out.append(r)
+    return list(out) if unit == 1 else [p * unit for p in out]
 
 
 def _select_pivot(a, k, rows, cols):

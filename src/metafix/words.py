@@ -61,6 +61,17 @@ def junction(left, right):
     return k
 
 
+def extend_reduced(out, letters):
+    """Append the freely reduced `letters` to the freely reduced list
+    `out`, cancelling where they join, so that `out` stays reduced."""
+    if out and letters and out[-1] == -letters[0]:
+        k = junction(out, letters)
+        del out[len(out) - k :]
+        out.extend(letters[k:])
+    else:
+        out.extend(letters)
+
+
 class Word:
     """A freely reduced word in the free group of the given rank."""
 
@@ -278,12 +289,7 @@ def parse_word(text, rank):
             at = tokens[pos][2]
             factor = parse_factor()
             check_size(len(out) + len(factor), "product", at)
-            if out and factor and out[-1] == -factor[0]:
-                k = junction(out, factor)
-                del out[len(out) - k :]
-                out.extend(factor[k:])
-            else:
-                out.extend(factor)
+            extend_reduced(out, factor)
         return out
 
     def parse_factor():

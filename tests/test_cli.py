@@ -372,13 +372,60 @@ def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
     pytest.param(["braid", "3", "A[1,2]^+2"], id="plus-exponent"),
     pytest.param(["braid", "3", "A[1,2]^٣"], id="arabic-indic-exponent"),
     pytest.param(["verify", data_path("infinite_fix.endo"), "x1 )"], id="bad-word"),
+    pytest.param(["analyze", "LONG_SIDE"], id="long-left-side-text"),
 ])
 def test_every_input_error_is_one_line_on_stderr_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "UNDECODABLE").write_bytes(b"x1 -> x1 \xff\n")
+    (tmp_path / "LONG_SIDE").write_text("x1" + "1" * RUN + "y -> x1\n")
     files = {"MISSING": tmp_path / "missing.endo", "DIR": tmp_path}
     files["UNDECODABLE"] = tmp_path / "UNDECODABLE"
+    files["LONG_SIDE"] = tmp_path / "LONG_SIDE"
     code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == 2 and out == ""
     line, newline, rest = err.partition("\n")
     assert newline and not rest
     assert line.startswith("error: ") and "Traceback" not in line and len(line) <= 200
+
+
+TOP_USAGE = "usage: metafix [-h] {analyze,braid,verify,selftest} ..."
+ANALYZE_USAGE = "usage: metafix analyze [-h] [--bound BOUND] [--json] file"
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["--help"], TOP_USAGE),
+    (["-h"], TOP_USAGE),
+    (["analyze", "--help"], ANALYZE_USAGE),
+])
+def test_help_exits_0_with_its_usage_line(capsys, argv, usage):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 0 and err == ""
+    assert out.splitlines()[0] == usage
+
+
+@pytest.mark.parametrize("argv,usage,error", [
+    ([], TOP_USAGE, "metafix: error: the following arguments are required: command"),
+    (["nosuch"], TOP_USAGE, "metafix: error: argument command: invalid choice: 'nosuch'"),
+    (["analyze"], ANALYZE_USAGE, "metafix analyze: error: the following arguments are required: file"),
+    (["analyze", "f.endo", "extra"], TOP_USAGE, "metafix: error: unrecognized arguments: extra"),
+    (["selftest", "--seed", "q"], "usage: metafix selftest [-h] [--seed SEED]",
+     "metafix selftest: error: argument --seed: invalid int value: 'q'"),
+])
+def test_usage_errors_exit_2_with_the_usage_line(capsys, argv, usage, error):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    first, second = err.splitlines()
+    assert first == usage and second.startswith(error)
+
+
+def test_a_known_command_is_parsed_by_its_own_parser_alone(monkeypatch, capsys):
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a known command")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", full_parse)
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", full_parse)
+    rep = run_json(capsys, "analyze", data_path("identity2.endo"), "--bound", "0", "--json")
+    assert rep["rank_JmI"] == 0

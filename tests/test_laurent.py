@@ -15,6 +15,9 @@ from metafix.laurent import (
     _MASK,
     _TEXT_CAP,
     _W,
+    _check,
+    _mul_term,
+    _origin,
     _pack,
     _piece_columns,
     _unpack,
@@ -182,6 +185,32 @@ def test_parse_errors_on_digits_int_rejects_carry_position(text, at, what):
     with pytest.raises(ValueError) as info:
         parse_poly(text.replace("N", RUN), 2)
     assert str(info.value) == f"polynomial syntax error at position {at}: {what}"
+
+
+@pytest.mark.parametrize("text,at,what", [
+    (f"x1^{_H}", 2, "exponent"),
+    ("x1^9999999", 2, "exponent"),
+    (f"x1^-{_H + 1}", 2, "exponent"),
+    (f"x2 + x1^{_H - 1}*x1", 16, "exponent"),
+    (f"x2 - 3*x1^{_H - 1}*x2", 5, "degree"),
+    (f"x1^-{_H}*x2^-1", 0, "degree"),
+])
+def test_parse_errors_outside_the_packed_range_carry_position(text, at, what):
+    # an exponent, a summed exponent and a total degree outside the packed
+    # range are input errors, not the internal ExponentOverflowError
+    with pytest.raises(ValueError) as info:
+        parse_poly(text, 2)
+    assert not isinstance(info.value, ExponentOverflowError)
+    assert str(info.value) == (
+        f"polynomial syntax error at position {at}: {what} outside [-{_H}, {_H})"
+    )
+
+
+def test_parse_accepts_the_ends_of_the_packed_range():
+    assert parse_poly(f"x1^-{_H}", 2) == LaurentPoly.monomial((-_H, 0), 2)
+    assert parse_poly(f"x1^{_H - 2}*x2 + x2^{_H - 1}*x1^-2", 2).terms == {
+        _pack((_H - 2, 1), 2): 1, _pack((-2, _H - 1), 2): 1,
+    }
 
 
 def test_coefficients_are_unbounded_below_the_int_limit():
@@ -479,3 +508,158 @@ def test_word_pass_rejects_words_beyond_the_field_range():
 
     with pytest.raises(ExponentOverflowError):
         word_pass(Huge(), 2)
+
+
+def ref_normal_form(p):
+    """The normal form as `divide_exact` took it before dividing the
+    dividend's own terms: (terms, shift, sign), the terms shifted to
+    minimum exponent 0 with a positive leading coefficient."""
+    terms, n = p.terms, p.nvars
+    origin = _origin(n)
+    if len(terms) == 1:
+        ((k, c),) = terms.items()
+        return {origin: abs(c)}, origin - k, 1 if c > 0 else -1
+    low = deg = 0
+    for pos in range(0, _W * n, _W):
+        field = min((k >> pos) & _MASK for k in terms)
+        low |= field << pos
+        deg += field - _H
+    if not -_H <= deg < _H:
+        raise ExponentOverflowError("degree")
+    shift = origin - (((deg + _H) << (_W * n)) | low)
+    sign = 1 if terms[max(terms)] > 0 else -1
+    return _mul_term(terms, shift, sign, n), shift, sign
+
+
+def ref_divide_nonneg(g, f, n):
+    """Long division of term maps with nonnegative exponents."""
+    origin = _origin(n)
+    fl = max(f)
+    r, q = dict(g), {}
+    while r:
+        rl = max(r)
+        mono = rl - fl + origin
+        if r[rl] % f[fl] or mono & origin != origin:
+            return None
+        c = r[rl] // f[fl]
+        q[mono] = c
+        for k, v in f.items():
+            key = k + mono - origin
+            cur = r.get(key, 0) - v * c
+            if cur:
+                r[key] = cur
+            else:
+                r.pop(key, None)
+    return q
+
+
+def ref_divide_exact(g, d):
+    """`divide_exact` with both sides normalized first: the dividend's
+    normal form, long division, and the quotient shifted back."""
+    n = g.nvars
+    if not g.terms:
+        return LaurentPoly.zero(n)
+    if len(d.terms) == 1:
+        ((k, c),) = d.terms.items()
+        if any(v % c for v in g.terms.values()):
+            return None
+        out = {key + _origin(n) - k: v // c for key, v in g.terms.items()}
+        _check(out, n)
+        return LaurentPoly._raw(n, out)
+    gterms, gshift, gsign = ref_normal_form(g)
+    fterms, fshift, fsign = ref_normal_form(d)
+    q = ref_divide_nonneg(gterms, fterms, n)
+    if q is None:
+        return None
+    return LaurentPoly._raw(n, _mul_term(q, fshift - gshift, gsign * fsign, n))
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), term_maps(n), nonzero_term_maps(n), term_maps(n), units)))
+@example((2, {(1, 0): 1}, {(0, 0): -2, (1, 1): -4}, {(3, -2): 2}, 3))
+@example((1, {(-3,): 5, (2,): -5}, {(-1,): 6, (0,): 3}, {}, -2))
+def test_divide_exact_matches_normal_form_reference(case):
+    # negative exponents, one-term and multi-term divisors, contents above
+    # 1 and negative leading coefficients; exact, inexact and unrelated
+    # dividends
+    n, a, b, e, c = case
+    p, d, extra = LaurentPoly(n, a), LaurentPoly(n, b) * c, LaurentPoly(n, e)
+    for g in (p * d, p * d + extra, extra, -(p * d) * 3):
+        want = ref_divide_exact(g, d)
+        got = g.divide_exact(d)
+        assert (got is None) == (want is None)
+        assert got == want
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(exponent_vectors(n), st.integers(-3, 3).filter(bool), min_size=1, max_size=4),
+    nonzero_term_maps(n),
+)))
+def test_divide_exact_near_the_field_range_matches_reference(case):
+    # exponents at the ends of the packed range: the same quotient, None
+    # or ExponentOverflowError as the division of the normal forms
+    n, a, b = case
+    g, d = LaurentPoly(n, a), LaurentPoly(n, b)
+    dividends = [g]
+    product = outcome(lambda: g * d)
+    if isinstance(product, LaurentPoly):
+        dividends.append(product)
+    for dividend in dividends:
+        assert outcome(dividend.divide_exact, d) == outcome(ref_divide_exact, dividend, d)
+
+
+def test_dividend_spanning_the_field_range_raises():
+    # the x1 exponents span 4,200,001 >= 2^22, or the degrees span
+    # 2^22 + 1 while each exponent spans less: the dividend's normal form
+    # would leave the field range, so the division raises, never None
+    x1, x2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
+    d = x1 - 1
+    wide = (x1**2100000 + x1**-2100000) * d
+    deep = (LaurentPoly.monomial((_H // 2 - 1, _H // 2 - 1), 2) + (x1 * x2) ** -1) * d
+    for g in (wide, deep):
+        for divisor in (d, x2 + 3):
+            with pytest.raises(ExponentOverflowError):
+                ref_divide_exact(g, divisor)
+            with pytest.raises(ExponentOverflowError):
+                g.divide_exact(divisor)
+    # just inside the range the quotient comes back
+    g = (x1**2000000 + x1**-2000000) * d
+    assert g.divide_exact(d) == x1**2000000 + x1**-2000000
+    assert (g + 1).divide_exact(d) is None
+
+
+@given(ranks.flatmap(lambda n: st.tuples(
+    st.just(n), nonzero_term_maps(n), st.integers(1, 6))))
+@example((2, {(-2, 1): -4, (0, 3): 6}, 5))
+def test_normalizer_and_primitive_times_match_normalized(case):
+    n, a, c = case
+    p = LaurentPoly(n, a)
+    poly, unit = p.normalized()
+    assert p * p.normalizer() == poly
+    assert p.normalizer() == unit ** -1
+    q = p.primitive_times(c)
+    assert q * poly.content() == poly * c
+    # the division form it carries is the one division computes afresh
+    fresh = LaurentPoly(n, q.exponent_terms())
+    for g in (q * p, q * p + 1, p):
+        assert g.divide_exact(q) == g.divide_exact(fresh)
+
+
+def test_normalizer_of_a_unit_at_the_field_edge_raises_as_its_inverse_does():
+    for m in ((-_H, 0), (-_H // 2, -_H // 2)):
+        # minimum exponents m, which the range holds but not -m
+        p = LaurentPoly.monomial(m, 2, -3) + LaurentPoly.monomial((m[0] + 1, m[1]), 2)
+        poly, unit = p.normalized()
+        with pytest.raises(ExponentOverflowError):
+            unit ** -1
+        with pytest.raises(ExponentOverflowError):
+            p.normalizer()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metafix import magnus
 from metafix.errors import InvariantError
@@ -8,6 +10,7 @@ from metafix.fox import membership, word_coords
 from metafix.laurent import LaurentPoly, parse_poly
 from metafix.magnus import (
     MagnusElement,
+    coset_word,
     is_module_vector,
     is_trivial,
     koszul_decompose,
@@ -199,3 +202,27 @@ def test_is_trivial_runs_no_fox_pass_on_nonzero_exponent_sums(monkeypatch):
     assert is_trivial(parse_word("[[x1,x2],[x1,x3]]", 3))
     assert not is_trivial(parse_word("[x1,x2]", 3))
     assert len(passes) == 2
+
+
+def ref_module_power_word(r, u):
+    """`module_power_word` as a product of words, one conjugate
+    (g_m r g_m^-1)^c per monomial."""
+    out = Word.identity(r.rank)
+    for m, c in sorted(u.exponent_terms().items()):
+        out = out * (r.conjugated_by(coset_word(m, r.rank)) ** c)
+    return out
+
+
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-n, n).filter(bool), max_size=8),
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3).filter(bool), max_size=5),
+    st.just(n),
+)))
+def test_module_power_word_matches_product_reference(case):
+    # the letter list cancels where each piece joins it, as the product of
+    # words does: the same freely reduced letters, for any base word
+    letters, terms, n = case
+    r, u = Word(n, letters), LaurentPoly(n, terms)
+    assert module_power_word(r, u).letters == ref_module_power_word(r, u).letters
+    base = Word.generator(0, n).commutator(Word.generator(n - 1, n))
+    assert module_power_word(base, u).letters == ref_module_power_word(base, u).letters

@@ -1,10 +1,13 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from metafix.fox import jacobian
 from metafix.laurent import LaurentPoly, parse_poly
-from metafix.matrices import LaurentMatrix, _det_cofactor, cramer_solve
+from metafix.matrices import LaurentMatrix, _det_cofactor, cramer_solve, normalize_vector
 from metafix.samples import random_ia, random_poly
 
 
@@ -305,3 +308,47 @@ def test_matrix_product_and_vector_helpers():
     assert prod.entries[0][0] == parse_poly("x1^2 - x1 + 2", 1)
     v = a.vec_mul([parse_poly("x1", 1)])
     assert v == [parse_poly("x1^2", 1), parse_poly("x1", 1)]
+
+
+def ref_normalize_vector(z):
+    """`normalize_vector` step by step: divide by the primitive part q of
+    the smallest entry's normal form, then by the content, then by the
+    lead entry's unit."""
+    smallest = min((p for p in z if not p.is_zero()), key=lambda p: len(p.terms))
+    q, _ = smallest.normalized()
+    c = q.content()
+    if c > 1:
+        q = q.divide_exact(c)
+    reduced = [p.divide_exact(q) for p in z]
+    if None not in reduced:
+        z = reduced
+    g = 0
+    for p in z:
+        g = gcd(g, p.content())
+    if g > 1:
+        z = [p.divide_exact(g) for p in z]
+    lead = next(p for p in z if not p.is_zero())
+    _, unit = lead.normalized()
+    return [p * unit ** (-1) for p in z]
+
+
+def small_polys(n):
+    monos = st.tuples(*[st.integers(-3, 3)] * n)
+    return st.dictionaries(monos, st.integers(-4, 4).filter(bool), max_size=4).map(
+        lambda terms: LaurentPoly(n, terms)
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(small_polys(n), min_size=1, max_size=4).filter(lambda z: any(z)),
+    small_polys(n).filter(bool),
+    st.sampled_from([1, -1, 2, -6]),
+)))
+@example((2, [LaurentPoly.zero(2), parse_poly("-2*x1^-1 + 4*x2", 2)], parse_poly("x1 - x2", 2), -6))
+def test_normalize_vector_matches_stepwise_reference(case):
+    # zero entries, a common factor h that the smallest entry may or may
+    # not carry, contents above 1 and negative leading coefficients
+    n, z, h, c = case
+    for vector in (z, [p * h * c for p in z]):
+        assert normalize_vector(vector) == ref_normalize_vector(vector)
