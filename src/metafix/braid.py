@@ -8,15 +8,16 @@ and the pure generator A[i,j] (i < j) is the conjugated square
 
     A[i,j] = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1.
 
-Its action is built in closed form (Artin, Ann. Math. 48, 1947, in this
-convention): with c = (x_i x_j)^s and g = c (x_j x_i)^-s, A[i,j]^s
-conjugates x_i and x_j by c and each x_k with i < k < j by g, and fixes
-every other generator; conjugating by w maps x to w x w^-1.
+The action of each power is built in closed form (Artin, Ann. Math. 48,
+1947, in this convention): with c = (x_i x_j)^k and g = c (x_j x_i)^-k,
+A[i,j]^k conjugates x_i and x_j by c and each x_m with i < m < j by g,
+and fixes every other generator; conjugating by w maps x to w x w^-1.
 
-A braid word maps to the composite of its letter automorphisms so that the
-matrix of a concatenation is the product of the matrices (letters read left
-to right).  The unreduced matrix of a braid automorphism is its Jacobian;
-every row image is a conjugate of its generator, the column vector
+A braid word maps to the composite of its letter automorphisms, one power
+per run of equal letters, so that the matrix of a concatenation is the
+product of the matrices (letters read left to right).  The unreduced
+matrix of a braid automorphism is its Jacobian; every row image is a
+conjugate of its generator, the column vector
 (x_1 - 1, ..., x_n - 1) is fixed, and the row vector of coordinates of
 x_1...x_n is fixed.  The reduced matrix conjugates by the basis that ends
 with the fixed column and drops the resulting trailing (0,...,0,1) row and
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import groupby
 
 from .endo import Endomorphism
 from .errors import InvariantError
@@ -128,29 +130,42 @@ def parse_braid(text, strands):
     return BraidWord(strands, letters)
 
 
-@lru_cache(maxsize=256)
-def pure_generator(i, j, sign, n):
-    """The free-group action of A[i,j]^sign (1 <= i < j <= n), in closed
-    form (see the module docstring).  An endomorphism is immutable, so
-    each one is built once per process, together with its `apply` table;
-    the 256 kept take at most about 14 MB, on 128 strands."""
+def _pure_power(i, j, k, n):
+    """A[i,j]^k on the rank-n free group, in closed form."""
+    # the longest image: x_i or x_j conjugated by c, 4|k| + 1 letters,
+    # or a generator between them conjugated by g, 8|k| + 1
+    check_size((8 if j > i + 1 else 4) * abs(k) + 1, f"A[{i},{j}]^{k} image")
     xi, xj = Word.generator(i - 1, n), Word.generator(j - 1, n)
-    c, d = xi * xj, xj * xi
-    if sign < 0:
-        c, d = c.inverse(), d.inverse()
-    g = c * d.inverse()
-    images = [Word.generator(k, n) for k in range(n)]
-    for k in range(i - 1, j):
-        images[k] = images[k].conjugated_by(c if k in (i - 1, j - 1) else g)
+    c = (xi * xj) ** k
+    g = c * (xj * xi) ** -k
+    images = [Word.generator(m, n) for m in range(n)]
+    for m in range(i - 1, j):
+        images[m] = images[m].conjugated_by(c if m in (i - 1, j - 1) else g)
     return Endomorphism(images)
 
 
+_pure_letter = lru_cache(maxsize=256)(_pure_power)
+
+
+def pure_generator(i, j, k, n):
+    """The free-group action of A[i,j]^k (1 <= i < j <= n), in closed
+    form (see the module docstring), so a power costs one
+    construction, not k compositions.  WordError is raised before an
+    image would pass MAX_LETTERS letters.
+
+    An endomorphism is immutable, so each letter A[i,j]^+-1 is built
+    once per process, together with its `apply` table; the 256 kept take
+    at most about 14 MB, on 128 strands.  Longer powers are built anew."""
+    return (_pure_letter if k in (1, -1) else _pure_power)(i, j, k, n)
+
+
 def braid_automorphism(b):
-    """The IA-automorphism of the rank-n free group defined by the braid."""
+    """The IA-automorphism of the rank-n free group defined by the braid:
+    one composition per run of equal letters, by that run's power."""
     n = b.strands
     phi = Endomorphism.identity(n)
-    for (i, j, sign) in b.letters:
-        phi = pure_generator(i, j, sign, n).compose(phi)
+    for (i, j, sign), run in groupby(b.letters):
+        phi = pure_generator(i, j, sign * sum(1 for _ in run), n).compose(phi)
     return phi
 
 

@@ -73,18 +73,16 @@ side of the "decoupled" system is -x^-a * coords(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul, sub
-from typing import Optional
 
 from .errors import InvariantError
 from .fox import j_minus_i, membership, peel, word_coords
 from .laurent import LaurentPoly, word_pass_mod
 from .magnus import MagnusElement, coset_letters, coset_word, is_trivial, realize_coords
 from .matrices import cramer_solve, normalize_vector
-from .words import Word
 
 
 class InternalCheckError(InvariantError, RuntimeError):
@@ -166,14 +164,11 @@ def fixed_point_in_commutator(phi):
     return g
 
 
-@dataclass
-class CosetOutcome:
-    """Result of the fixed-point search in one coset of the commutator
-    subgroup: status is "found", "none" or "undecided"."""
-
-    exponents: tuple
-    status: str
-    witness: Optional[Word] = None
+CosetOutcome = namedtuple("CosetOutcome", "exponents status witness", defaults=(None,))
+CosetOutcome.__doc__ = """Result of the fixed-point search in one coset
+of the commutator subgroup: the exponent tuple a, the status "found",
+"none" or "undecided", and on "found" the oracle-checked witness word
+(else None)."""
 
 
 class CosetSolver:
@@ -315,29 +310,12 @@ def fixed_point_in_coset(phi, a):
     return CosetSolver(phi).solve(a)
 
 
-def conjugates_fixed(phi, g):
-    """Are all generator conjugates x_i g x_i^-1 also fixed?
-
-    Requires g to be a fixed point inside the commutator subgroup.
-    """
-    if any(g.exponent_sums()):
-        raise ValueError("word is not in the commutator subgroup")
-    if not is_fixed(phi, g):
-        raise ValueError("word is not a fixed point")
-    n = phi.rank
-    for i in range(n):
-        if not is_fixed(phi, g.conjugated_by(Word.generator(i, n))):
-            return False
-    return True
-
-
-@dataclass
-class FixReport:
-    """Aggregated search results for one endomorphism."""
-
-    rank_defect_class: str
-    witness_in_commutator: Optional[Word] = None
-    cosets: list = field(default_factory=list)
+FixReport = namedtuple(
+    "FixReport", "rank_defect_class witness_in_commutator cosets", defaults=(None, ())
+)
+FixReport.__doc__ = """Aggregated search results for one endomorphism:
+its rank-defect class, the commutator-subgroup witness word (or None)
+and the CosetOutcome records, one per coset of the box."""
 
 
 def rank_defect_class(phi):
@@ -363,11 +341,8 @@ def search_fixed(phi, bound):
     witness that fails it raises InternalCheckError.  J - I and its
     elimination are kept on phi, so the detector, the solver and a
     caller that reports the rank share one."""
-    report = FixReport(
-        rank_defect_class=rank_defect_class(phi),
-        witness_in_commutator=fixed_point_in_commutator(phi),
-    )
+    rank_class = rank_defect_class(phi)
+    witness = fixed_point_in_commutator(phi)
     solver = CosetSolver(phi)
-    for a in coset_box(phi.rank, bound):
-        report.cosets.append(solver.solve(a))
-    return report
+    cosets = [solver.solve(a) for a in coset_box(phi.rank, bound)]
+    return FixReport(rank_class, witness, cosets)

@@ -11,7 +11,6 @@ import time
 from metafix.braid import BraidWord, alexander_vanishes, braid_automorphism, gassner
 from metafix.endo import parse_endomorphism
 from metafix.fixpoint import (
-    conjugates_fixed,
     fixed_point_in_commutator,
     fixed_point_in_coset,
     is_fixed,
@@ -26,7 +25,7 @@ from metafix.samples import (
     random_rank_deficient_ia,
     random_word,
 )
-from metafix.words import parse_word
+from metafix.words import Word, parse_word
 from tests.conftest import data_path
 
 
@@ -35,6 +34,14 @@ def found_any(report):
     if report.witness_in_commutator is not None:
         return True
     return any(c.status == "found" for c in report.cosets)
+
+
+def conjugates_fixed(phi, g):
+    """Are all generator conjugates x_i g x_i^-1 of g, a fixed point
+    inside the commutator subgroup, also fixed?"""
+    assert not any(g.exponent_sums()) and is_fixed(phi, g)
+    n = phi.rank
+    return all(is_fixed(phi, g.conjugated_by(Word.generator(i, n))) for i in range(n))
 
 
 def _criterion(num, name, budget_s):

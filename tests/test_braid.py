@@ -126,6 +126,49 @@ def test_pure_generators_are_built_once():
     assert phi == expected
 
 
+def test_pure_generator_powers_equal_repeated_letters():
+    # the closed form of A[i,j]^k against k compositions of A[i,j]^+-1
+    cases = 0
+    for n in range(2, 6):
+        for (i, j) in itertools.combinations(range(1, n + 1), 2):
+            assert pure_generator(i, j, 0, n) == Endomorphism.identity(n)
+            cases += 1
+            for sign in (1, -1):
+                phi = Endomorphism.identity(n)
+                for k in range(1, 5):
+                    phi = pure_generator(i, j, sign, n).compose(phi)
+                    assert pure_generator(i, j, sign * k, n) == phi, (n, i, j, sign * k)
+                    cases += 1
+    assert cases == 180
+
+
+def test_braid_automorphism_composes_once_per_run(monkeypatch):
+    calls = []
+    compose = Endomorphism.compose
+
+    def counted(self, other):
+        calls.append(self)
+        return compose(self, other)
+
+    letters = [(1, 3, -1)] * 3 + [(2, 4, 1)] + [(1, 3, -1)] + [(1, 3, 1)] * 2
+    expected = Endomorphism.identity(4)
+    for (i, j, s) in letters:
+        expected = artin_expansion(i, j, s, 4).compose(expected)
+    monkeypatch.setattr(Endomorphism, "compose", counted)
+    assert braid_automorphism(BraidWord(4, letters)) == expected
+    assert len(calls) == 4
+
+
+def test_pure_generator_powers_are_capped_before_building():
+    # the longest image has 4|k| + 1 letters, or 8|k| + 1 with a
+    # generator between i and j
+    k = (MAX_LETTERS - 1) // 4
+    assert max(map(len, pure_generator(1, 2, -k, 2).images)) == 4 * k + 1
+    for (i, j, k) in ((1, 2, k + 1), (1, 2, -MAX_LETTERS), (1, 3, MAX_LETTERS // 8 + 1)):
+        with pytest.raises(WordError, match=f"exceeds the limit of {MAX_LETTERS}"):
+            pure_generator(i, j, k, 3)
+
+
 def test_empty_braid_is_identity():
     assert braid_automorphism(BraidWord(3)) == Endomorphism.identity(3)
 

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -171,6 +173,31 @@ def test_hostile_braids_are_rejected_before_building(monkeypatch, capsys):
     for argv in (["3", f"A[1,2]^{MAX_LETTERS}"], [str(cli.MAX_STRANDS), "1"]):
         with pytest.raises(Built):
             main(["braid", *argv])
+
+
+@pytest.mark.parametrize("word", ["A[1,2]^1048576", "A[1,3]^131073"])
+def test_braid_powers_past_the_image_limit_exit_2(capsys, word):
+    # A[1,3]^131073 maps x2 alone to 8 * 131073 + 1 letters
+    code, out, err = run_cli(capsys, "braid", "3", word)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"exceeds the limit of {MAX_LETTERS}" in err
+
+
+def test_import_loads_no_dataclasses_and_no_selftest_modules():
+    # a fresh process: a command loads only what analyze, braid and
+    # verify run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unwanted = {"dataclasses", "inspect", "metafix.selfcheck", "metafix.samples"}
+    probe = f"import sys, metafix.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_negative_bound_is_rejected(capsys):
