@@ -22,7 +22,7 @@ from .fox import j_minus_i, jacobian
 from .laurent import poly_to_text
 from .magnus import MagnusElement, is_trivial
 from .matrices import LaurentMatrix
-from .words import WordError, parse_word, word_to_text
+from .words import WordError, parse_digits, parse_word, word_to_text
 
 
 def _matrix_json(m):
@@ -97,16 +97,26 @@ MAX_COSETS = 1 << 16
 MAX_STRANDS = 128
 
 
+def _number(text, name):
+    """A number argument: ASCII digits only, read by `parse_digits`, so
+    its error names the argument and never repeats a long run."""
+    if not (text.isascii() and text.isdigit()):
+        raise WordError(f"argument {name}: expected ASCII digits 0-9")
+    try:
+        return parse_digits(text)
+    except WordError as e:
+        raise WordError(f"argument {name}: {e}") from None
+
+
 def cmd_analyze(args):
-    if args.bound < 0:
-        raise WordError(f"--bound must be nonnegative, got {args.bound}")
+    bound = _number(args.bound, "--bound")
     phi = parse_endomorphism(_read(args.file))
     n = phi.rank
     # with a bound >= 1, MAX_COSETS.bit_length() generators already exceed
     # the limit, so n is clipped there and the power stays small
-    if (2 * args.bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:
+    if (2 * bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:
         raise WordError(
-            f"--bound {args.bound} on {n} generators gives more than {MAX_COSETS} cosets"
+            f"--bound {bound} on {n} generators gives more than {MAX_COSETS} cosets"
         )
     start = time.perf_counter()
     jmi = j_minus_i(phi)
@@ -126,7 +136,7 @@ def cmd_analyze(args):
         "braid": None,
     }
     if phi.is_ia():
-        fix = search_fixed(phi, args.bound)
+        fix = search_fixed(phi, bound)
         report["fix"] = _fix_json(fix)
     report["timing"] = round(time.perf_counter() - start, 6)
     _emit(report, args.json)
@@ -134,9 +144,10 @@ def cmd_analyze(args):
 
 
 def cmd_braid(args):
-    if not 2 <= args.strands <= MAX_STRANDS:
-        raise WordError(f"need 2 to {MAX_STRANDS} strands, got {args.strands}")
-    b = parse_braid(args.word, args.strands)
+    strands = _number(args.strands, "strands")
+    if not 2 <= strands <= MAX_STRANDS:
+        raise WordError(f"need 2 to {MAX_STRANDS} strands, got {strands}")
+    b = parse_braid(args.word, strands)
     start = time.perf_counter()
     phi = braid_automorphism(b)
     n = phi.rank
@@ -157,7 +168,7 @@ def cmd_braid(args):
         )
     unreduced_json = _matrix_json(unreduced)
     report = {
-        "input": {"strands": args.strands, "braid": str(b)},
+        "input": {"strands": strands, "braid": str(b)},
         "ia": phi.is_ia(),
         "jacobian": unreduced_json,
         "det_JmI": poly_to_text(jmi.det()),
@@ -216,12 +227,12 @@ def build_parser():
 
     p = commands["analyze"] = sub.add_parser("analyze", help="analyze an endomorphism file")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=2, help="coset exponent box (default 2)")
+    p.add_argument("--bound", default="2", help="coset exponent box (default 2)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = commands["braid"] = sub.add_parser("braid", help="analyze a pure braid word")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands")
     p.add_argument("word")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_braid)

@@ -52,23 +52,22 @@ routes are shapes of that kernel:
 - "decoupled": the rows of J - I for the fixed generators vanish and the
   others are independent.  Cramer's rule on the pivot rows of one
   elimination gives the other coordinates, and the free ones are peeled
-  off the membership sum by x_i - 1 (`fox.peel`).
+  off the membership sum by x_i - 1 (`fox.peel`).  The chain rule gives
+  the right-hand side, -x^-a * coords(w_a) (J - I), with no image word.
 - "rank_deficient": the rest.  If every f_j = 0, the membership row
   lies in the row space of G (over the fraction field the row space is
   the orthogonal complement of the kernel), the ideal of values f(k) is
-  zero and every coset is "none".  Otherwise a coset is "found" when
-  w_a itself is fixed and "undecided" when not.  By the chain rule
-  coords((image of w) * w^-1) = coords(w) (J - I), so w_a is not fixed
-  when coords(w_a) (J - I) is nonzero at one point P modulo the prime
-  2^61 - 1.  J - I at P is evaluated once; a coset whose value there is
-  nonzero is "undecided" without applying phi, and the rest take the
-  oracle check.  Evaluation at P is a ring map, so P sets only how many
-  cosets take that check, never an answer.
+  zero and every coset is "none".
 
-That direct check reads the oracle element of the difference word
-d = (image of w_a) * w_a^-1, which is the identity exactly when w_a is
-fixed; coords(d) = coords(image of w_a) - coords(w_a), so the right-hand
-side of the "decoupled" system is -x^-a * coords(d).
+On the other cosets both routes first ask whether w_a itself is fixed;
+if it is, the coset is "found" with witness w_a, and if not,
+"rank_deficient" answers "undecided" and "decoupled" solves.  By the
+chain rule coords((image of w) * w^-1) = coords(w) (J - I), so w_a is not
+fixed when coords(w_a) (J - I) is nonzero at one point P modulo the prime
+2^61 - 1.  J - I at P is evaluated once; a coset whose value there is
+nonzero skips the oracle, and the rest take it (`is_fixed`).  Evaluation
+at P is a ring map, so P sets only how many cosets take that check,
+never an answer.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from operator import mul, sub
 from .errors import InvariantError
 from .fox import j_minus_i, membership, peel, word_coords
 from .laurent import LaurentPoly, word_pass_mod
-from .magnus import MagnusElement, coset_letters, coset_word, is_trivial, realize_coords
+from .magnus import coset_word, is_trivial, realize_coords
 from .matrices import cramer_solve, normalize_vector
 
 
@@ -178,13 +177,15 @@ class CosetSolver:
     the module docstring) from the kernel basis of G and its values f:
     the kernel vector k, f = k . (x - 1) and the width gaps of f over k
     on "unique", the determinant and adjugate of the square subsystem on
-    "decoupled", and on "rank_deficient" whether the ideal is zero and,
-    if not, J - I at the screen point.  A "unique" query whose |w . a|
-    lies below a gap is "none" by Ostrowski's theorem, and a
-    "rank_deficient" one whose coords(w_a) (J - I) is nonzero at the
-    point is "undecided" by the Fox chain rule; neither builds a
-    polynomial or a word.  Any other query costs at most n exact
-    divisions, a few dot products, or one oracle check of w_a.
+    "decoupled", whether the ideal is zero on "rank_deficient", and on
+    the last two, unless the ideal is zero, J - I at the screen point.
+    A "unique" query whose |w . a| lies below a gap is "none" by
+    Ostrowski's theorem with no division.  On the other routes a query
+    whose coords(w_a) (J - I) is nonzero at the point skips the oracle
+    check of w_a by the Fox chain rule, and every "found" has passed
+    `is_fixed`.  Any other query costs at most n exact divisions on
+    "unique", and elsewhere one oracle check of w_a and, on "decoupled",
+    one Cramer solve.
     """
 
     def __init__(self, phi):
@@ -219,14 +220,14 @@ class CosetSolver:
         else:
             self.mode = "rank_deficient"
             self.ideal_is_zero = not any(fs)
-            if not self.ideal_is_zero:
-                # row i of J - I at the point: the Fox pass over image i,
-                # evaluated there, less the identity's row
-                point = screen_point(n)
-                rows = [word_pass_mod(y.letters, point, SCREEN_PRIME) for y in phi.images]
-                for i, row in enumerate(rows):
-                    row[i] -= 1
-                self.columns_at_point = list(zip(*rows))
+        if self.mode != "unique" and not self.ideal_is_zero:
+            # row i of J - I at the point: the Fox pass over image i,
+            # evaluated there, less the identity's row
+            point = screen_point(n)
+            rows = [word_pass_mod(y.letters, point, SCREEN_PRIME) for y in phi.images]
+            for i, row in enumerate(rows):
+                row[i] -= 1
+            self.columns_at_point = list(zip(*rows))
 
     def solve(self, a):
         n = self.n
@@ -239,20 +240,17 @@ class CosetSolver:
             return self._solve_unique(a)
         if self.ideal_is_zero:
             return CosetOutcome(a, "none")
-        if self.columns_at_point is not None and self._moved_at_point(a):
-            return CosetOutcome(a, "undecided")
         wa = coset_word(a, n)
-        d = MagnusElement.of_word(self.phi.apply(wa) * wa.inverse())
-        if d.is_identity():
+        if not self._moved_at_point(wa) and is_fixed(self.phi, wa):
             return CosetOutcome(a, "found", wa)
         if self.mode == "rank_deficient":
             return CosetOutcome(a, "undecided")
-        return self._solve_decoupled(a, wa, d)
+        return self._solve_decoupled(a, wa)
 
-    def _moved_at_point(self, a):
-        """Is coords(w_a) (J - I), the coordinate vector of
-        (image of w_a) * w_a^-1, nonzero at the screen point?"""
-        c = word_pass_mod(coset_letters(a), screen_point(self.n), SCREEN_PRIME)
+    def _moved_at_point(self, w):
+        """Is coords(w) (J - I), the coordinate vector of
+        (image of w) * w^-1, nonzero at the screen point?"""
+        c = word_pass_mod(w.letters, screen_point(self.n), SCREEN_PRIME)
         return any(sum(map(mul, c, col)) % SCREEN_PRIME for col in self.columns_at_point)
 
     def _solve_unique(self, a):
@@ -273,12 +271,13 @@ class CosetSolver:
         u = [q - shift * c for q, c in zip(t, word_coords(wa))]
         return self._finish(a, wa, u)
 
-    def _solve_decoupled(self, a, wa, d):
+    def _solve_decoupled(self, a, wa):
         # Cramer on the pivot columns, a check against G, then the free
-        # columns peeled off the membership sum
+        # columns peeled off the membership sum; by the chain rule
+        # G coords(w_a) is the coordinate vector of (image of w_a) * w_a^-1
         n = self.n
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
-        tau = [-(shift * c) for c in d.coords]
+        tau = [-(shift * c) for c in self.G.mul_vector(word_coords(wa))]
         u = [LaurentPoly.zero(n)] * n
         if self.sub is not None:
             res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])

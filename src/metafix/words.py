@@ -28,6 +28,12 @@ MAX_LETTERS = 1 << 20
 # entries could hold.  int() refuses a run of more than 4300 digits with
 # a message that has no position, so the length is checked first.
 MAX_DIGITS = len(str(MAX_LETTERS))
+# The deepest nesting of brackets and parentheses the parser accepts.
+# Each level takes two Python frames (`parse_factor` calls
+# `parse_sequence`), so a few hundred levels would reach the
+# interpreter's recursion limit and crash; commutators with 1 stay
+# empty, so no letter limit sees such an input.
+MAX_DEPTH = 100
 
 
 class WordError(ValueError):
@@ -270,7 +276,7 @@ def parse_word(text, rank):
     Multi-entry brackets are left-normed: [a,b,c] = [[a,b],c].  The parsed
     word is freely reduced.  A product, commutator or power that would
     build more than MAX_LETTERS letters raises WordError before it is
-    built.
+    built, and so does nesting deeper than MAX_DEPTH.
 
     Factors are letter sequences, freely reduced, and a sequence of
     factors is one list that cancels only where the next factor joins
@@ -282,17 +288,17 @@ def parse_word(text, rank):
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None, len(text))
 
-    def parse_sequence(stoppers):
+    def parse_sequence(stoppers, depth):
         nonlocal pos
         out = []
         while pos < len(tokens) and tokens[pos][0] not in stoppers:
             at = tokens[pos][2]
-            factor = parse_factor()
+            factor = parse_factor(depth)
             check_size(len(out) + len(factor), "product", at)
             extend_reduced(out, factor)
         return out
 
-    def parse_factor():
+    def parse_factor(depth):
         nonlocal pos
         kind, value, at = peek()
         if kind == "gen":
@@ -310,12 +316,14 @@ def parse_word(text, rank):
             if peek()[0] == "pow":
                 pos += 1
             return ()
+        if depth == MAX_DEPTH and kind in ("[", "("):
+            raise WordError(f"nesting deeper than {MAX_DEPTH} levels", at)
         if kind == "[":
             pos += 1
-            entries = [parse_sequence({",", "]"})]
+            entries = [parse_sequence({",", "]"}, depth + 1)]
             while peek()[0] == ",":
                 pos += 1
-                entries.append(parse_sequence({",", "]"}))
+                entries.append(parse_sequence({",", "]"}, depth + 1))
             if peek()[0] != "]":
                 raise WordError("unclosed '['", at)
             pos += 1
@@ -327,7 +335,7 @@ def parse_word(text, rank):
                 atom = atom.commutator(Word._raw(rank, tuple(e)))
         elif kind == "(":
             pos += 1
-            letters = parse_sequence({")"})
+            letters = parse_sequence({")"}, depth + 1)
             if peek()[0] != ")":
                 raise WordError("unclosed '('", at)
             pos += 1
@@ -341,7 +349,7 @@ def parse_word(text, rank):
             pos += 1
         return atom.letters
 
-    out = parse_sequence(set())
+    out = parse_sequence(set(), 0)
     if pos != len(tokens):
         raise WordError("trailing input", tokens[pos][2])
     return Word._raw(rank, tuple(out))

@@ -390,6 +390,10 @@ def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
     pytest.param(["verify", "UNDECODABLE", "x1"], id="undecodable-file"),
     pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "-1"], id="negative-bound"),
     pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "1000"], id="box-over-cap"),
+    pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "١"], id="arabic-indic-bound"),
+    pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "0_1"], id="underscore-bound"),
+    pytest.param(["analyze", data_path("infinite_fix.endo"), "--bound", "1" * RUN], id="long-bound"),
+    pytest.param(["braid", "٣", "A[1,2]"], id="arabic-indic-strands"),
     pytest.param(["braid", "1", "1"], id="one-strand"),
     pytest.param(["braid", "200", "1"], id="too-many-strands"),
     pytest.param(["braid", "3", "A[1,2] B[1,2]"], id="bad-braid-token"),
@@ -399,19 +403,42 @@ def test_oversized_coset_box_is_rejected(monkeypatch, capsys):
     pytest.param(["braid", "3", "A[1,2]^+2"], id="plus-exponent"),
     pytest.param(["braid", "3", "A[1,2]^٣"], id="arabic-indic-exponent"),
     pytest.param(["verify", data_path("infinite_fix.endo"), "x1 )"], id="bad-word"),
+    pytest.param(["verify", data_path("infinite_fix.endo"), "(" * 10_000 + "x1"], id="deep-parentheses"),
+    pytest.param(["verify", data_path("infinite_fix.endo"), "[1," * 10_000 + "x1"], id="deep-commutators"),
+    pytest.param(["analyze", "DEEP"], id="deep-endomorphism-file"),
     pytest.param(["analyze", "LONG_SIDE"], id="long-left-side-text"),
 ])
 def test_every_input_error_is_one_line_on_stderr_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "UNDECODABLE").write_bytes(b"x1 -> x1 \xff\n")
     (tmp_path / "LONG_SIDE").write_text("x1" + "1" * RUN + "y -> x1\n")
+    (tmp_path / "DEEP").write_text("x1 -> " + "(" * 10_000 + "x1" + ")" * 10_000 + "\nx2 -> x2\n")
     files = {"MISSING": tmp_path / "missing.endo", "DIR": tmp_path}
-    files["UNDECODABLE"] = tmp_path / "UNDECODABLE"
-    files["LONG_SIDE"] = tmp_path / "LONG_SIDE"
+    for name in ("UNDECODABLE", "LONG_SIDE", "DEEP"):
+        files[name] = tmp_path / name
     code, out, err = run_cli(capsys, *(str(files.get(a, a)) for a in argv))
     assert code == 2 and out == ""
     line, newline, rest = err.partition("\n")
     assert newline and not rest
     assert line.startswith("error: ") and "Traceback" not in line and len(line) <= 200
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["analyze", data_path("infinite_fix.endo"), "--bound", "-3"], "--bound"),
+    (["analyze", data_path("infinite_fix.endo"), "--bound", "1" * RUN], "--bound"),
+    (["braid", "٣", "A[1,2]"], "strands"),
+    (["braid", "1" * RUN, "A[1,2]"], "strands"),
+])
+def test_cli_numbers_are_ascii_digits_and_errors_name_the_argument(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: argument {name}: ") and "1" * 100 not in err
+
+
+def test_cli_numbers_drop_leading_zeros(capsys):
+    rep = run_json(capsys, "braid", "03", "A[1,2]", "--json")
+    assert rep["input"]["strands"] == 3
+    rep = run_json(capsys, "analyze", data_path("infinite_fix.endo"), "--bound", "0001", "--json")
+    assert len(rep["fix"]["cosets"]) == 26
 
 
 TOP_USAGE = "usage: metafix [-h] {analyze,braid,verify,selftest} ..."

@@ -512,6 +512,55 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
     assert endos >= 30 and cramer_calls >= cosets // 2, (endos, cosets, cramer_calls)
 
 
+def test_decoupled_cosets_moved_at_the_point_never_apply_phi(monkeypatch, infinite_fix):
+    # the chain rule gives Cramer its right-hand side, so a coset whose w_a
+    # is moved at the screen point builds no image word; only the oracle
+    # check of an unmoved w_a applies phi, once
+    solver = CosetSolver(infinite_fix)
+    assert solver.mode == "decoupled"
+    calls = []
+    apply = Endomorphism.apply
+    monkeypatch.setattr(Endomorphism, "apply", lambda self, w: calls.append(w) or apply(self, w))
+    statuses = {"found": 0, "none": 0}
+    for a in coset_box(3, 2):
+        calls.clear()
+        out = solver.solve(a)
+        statuses[out.status] += 1
+        if out.status == "none":
+            assert calls == [], a
+        else:
+            assert [w.letters for w in calls] == [out.witness.letters], a
+    assert statuses == {"found": 24, "none": 100}
+
+
+def test_every_found_off_the_unique_route_passes_is_fixed(monkeypatch):
+    checked = []
+
+    def recording(phi, g):
+        ok = is_fixed(phi, g)
+        checked.append((g.letters, ok))
+        return ok
+
+    monkeypatch.setattr(fixpoint, "is_fixed", recording)
+    rng = random.Random(62)
+    phis = _fixtures() + [
+        random_rank_deficient_ia(rng, 2 + k % 3) if k % 2 else random_ia(rng, 2 + k % 3, skip_chance=0.5)
+        for k in range(40)
+    ]
+    found = {"decoupled": 0, "rank_deficient": 0}
+    for phi in phis:
+        solver = CosetSolver(phi)
+        if solver.mode == "unique":
+            continue
+        for a in coset_box(phi.rank, 1):
+            checked.clear()
+            out = solver.solve(a)
+            if out.status == "found":
+                assert (out.witness.letters, True) in checked, (phi, a)
+                found[solver.mode] += 1
+    assert min(found.values()) >= 10, found
+
+
 @pytest.mark.parametrize(
     "conjugator, n",
     [("[x1,x2]", 3), ("[x1,x2] [x2,x3]", 3), ("[x1,x2]", 4)],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from metafix.samples import random_word
 from metafix.words import (
+    MAX_DEPTH,
     MAX_DIGITS,
     MAX_LETTERS,
     Word,
@@ -130,6 +131,19 @@ def test_digit_runs_drop_leading_zeros_and_are_capped():
             f"number of {digits} digits exceeds the limit of {MAX_DIGITS} digits"
             f" (at position {at})"
         )
+
+
+def test_nesting_is_capped_by_depth_with_a_position():
+    # each level takes two parser frames; past MAX_DEPTH the parser stops
+    # with a positioned input error, not a RecursionError
+    deepest = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_word(deepest, 2) == Word(2, (1,))
+    assert parse_word("[1," * MAX_DEPTH + "x1" + "]" * MAX_DEPTH, 2).is_identity()
+    for opener in ("(", "[1,", "[x1,("):
+        with pytest.raises(WordError) as info:
+            parse_word(opener * 10_000 + "x1", 2)
+        assert str(info.value).startswith(f"nesting deeper than {MAX_DEPTH} levels")
+        assert info.value.position is not None
 
 
 @pytest.mark.parametrize("text,at,message", [
