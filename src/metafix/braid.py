@@ -178,7 +178,8 @@ def gassner(b):
 
 
 def gassner_reduced(b):
-    """Reduced (n-1) x (n-1) matrix.
+    """Reduced (n-1) x (n-1) matrix of a braid word, its automorphism or
+    its unreduced matrix.
 
     Conjugates the unreduced matrix into the basis whose last vector is the
     fixed column (x_1 - 1, ..., x_n - 1), checks that the last column
@@ -186,7 +187,7 @@ def gassner_reduced(b):
     (i, j) is entries[i][j] - (x_{i+1} - 1) q_j, with q_j the exact quotient
     of the last row's entry j by x_n - 1, formed as one fused sum.
     """
-    unreduced = gassner(b) if isinstance(b, BraidWord) else b
+    unreduced = b if isinstance(b, LaurentMatrix) else gassner(b)
     n = unreduced.rows
     xi = membership_row(n)
     if unreduced.mul_vector(xi) != list(xi):

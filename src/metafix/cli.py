@@ -83,7 +83,7 @@ def _pretty(d, indent=0):
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise WordError(str(e)) from None

@@ -9,10 +9,10 @@ is fixed iff u (J - I) = 0.  The fixed points inside the
 commutator subgroup are therefore the left kernel vectors k of J - I with
 f(k) = k . (x - 1) = 0.
 
-One elimination of J - I, kept on the matrix and taken over by its
-transpose G = (J - I)^T, gives a basis k_1, ..., k_d of that kernel over
-the fraction field, one vector per non-pivot column of G, and each
-f_j = f(k_j).  As f is linear on the kernel:
+One elimination of J - I, kept on the matrix, gives a basis
+k_1, ..., k_d of that kernel over the fraction field, one row vector per
+non-pivot row of J - I, and each f_j = f(k_j).  As f is linear on the
+kernel:
 
 - if some f_j = 0, k_j is a fixed point;
 - if d >= 2 and every f_j is nonzero, so is u = f_2 k_1 - f_1 k_2;
@@ -36,28 +36,27 @@ to a membership residual of x^-a - 1.  The solutions are u0 + k over the
 left kernel vectors k of J - I with f(k) = 1 - x^-a, and the solver's
 routes are shapes of that kernel:
 
-- "unique": d = 1 and f_1 is nonzero; equivalently G over the
-  membership row has full column rank.  The kernel is a line R k0 and f
-  is nonzero on every kernel vector k.  Coset a holds a fixed point iff f
-  divides (1 - x^-a) k_i for every i, and then the unique solution is
-  u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.  Most cosets
-  are "none" by a width screen first: over a domain the Newton polytope
-  of a product is the Minkowski sum of its factors' (Ostrowski), so the
-  width in a direction w, max - min of w . e over the exponents e, adds
-  under products.  The width of 1 - x^-a is |w . a|, so f | (1 - x^-a)
-  k_i with k_i nonzero forces width_w(f) <= |w . a| + width_w(k_i).
-  Each gap width_w(f) - width_w(k_i) is computed once, for w in e_j and
-  e_j +- e_k, and a coset with |w . a| below one of them takes no
-  division.
+- "unique": d = 1 and f_1 is nonzero; equivalently J - I beside the
+  membership column x - 1 has full row rank.  The kernel is a line R k0
+  and f is nonzero on every kernel vector k.  Coset a holds a fixed point
+  iff f divides (1 - x^-a) k_i for every i, and then the unique solution
+  is u = (1 - x^-a) k / f + u0.  Only a "found" builds w_a.  Most cosets
+  are "none" by a width screen first: over a domain the Newton polytope of
+  a product is the Minkowski sum of its factors' (Ostrowski), so the width
+  in a direction w, max - min of w . e over the exponents e, adds under
+  products.  The width of 1 - x^-a is |w . a|, so f | (1 - x^-a) k_i with
+  k_i nonzero forces width_w(f) <= |w . a| + width_w(k_i).  Each gap
+  width_w(f) - width_w(k_i) is computed once, for w in e_j and e_j +- e_k,
+  and a coset with |w . a| below one of them takes no division.
 - "decoupled": the rows of J - I for the fixed generators vanish and the
-  others are independent.  Cramer's rule on the pivot rows of one
+  others are independent.  Cramer's rule on the pivot columns of its one
   elimination gives the other coordinates, and the free ones are peeled
   off the membership sum by x_i - 1 (`fox.peel`).  The chain rule gives
   the right-hand side, -x^-a * coords(w_a) (J - I), with no image word.
-- "rank_deficient": the rest.  If every f_j = 0, the membership row
-  lies in the row space of G (over the fraction field the row space is
-  the orthogonal complement of the kernel), the ideal of values f(k) is
-  zero and every coset is "none".
+- "rank_deficient": the rest.  If every f_j = 0, the membership column
+  x - 1 lies in the column space of J - I (over the fraction field the
+  column space is the orthogonal complement of the left kernel), the
+  ideal of values f(k) is zero and every coset is "none".
 
 On the other cosets both routes first ask whether w_a itself is fixed;
 if it is, the coset is "found" with witness w_a, and if not,
@@ -81,7 +80,7 @@ from .errors import InvariantError
 from .fox import j_minus_i, membership, peel, word_coords
 from .laurent import LaurentPoly, word_pass_mod
 from .magnus import coset_word, is_trivial, realize_coords
-from .matrices import cramer_solve, normalize_vector
+from .matrices import LaurentMatrix, cramer_solve, normalize_vector
 
 
 class InternalCheckError(InvariantError, RuntimeError):
@@ -174,11 +173,12 @@ class CosetSolver:
     """Per-endomorphism context for coset searches.
 
     The constructor does all the linear algebra of the chosen route (see
-    the module docstring) from the kernel basis of G and its values f:
-    the kernel vector k, f = k . (x - 1) and the width gaps of f over k
-    on "unique", the determinant and adjugate of the square subsystem on
-    "decoupled", whether the ideal is zero on "rank_deficient", and on
-    the last two, unless the ideal is zero, J - I at the screen point.
+    the module docstring) from the left kernel basis of J - I and its
+    values f: the kernel vector k, f = k . (x - 1) and the width gaps of
+    f over k on "unique", the determinant and adjugate of the square
+    block of J - I on "decoupled", whether the ideal is zero on
+    "rank_deficient", and on the last two, unless the ideal is zero,
+    J - I at the screen point.
     A "unique" query whose |w . a| lies below a gap is "none" by
     Ostrowski's theorem with no division.  On the other routes a query
     whose coords(w_a) (J - I) is nonzero at the point skips the oracle
@@ -193,10 +193,11 @@ class CosetSolver:
         self.phi = phi
         self.n = n = phi.rank
         basis, fs = left_kernel(jmi)
-        # the zero columns of G = (J - I)^T, the generators that phi fixes
-        self.free_cols = [i for i, row in enumerate(jmi.entries) if not any(row)]
-        self.pivot_cols = [i for i in range(n) if i not in self.free_cols]
-        self.G = self.sub = self.sub_rows = self.kernel = self.f = None
+        # the zero rows of J - I, the generators that phi fixes
+        self.zero_rows = [i for i, row in enumerate(jmi.entries) if not any(row)]
+        self.moved_rows = [i for i in range(n) if i not in self.zero_rows]
+        self.jmi = jmi
+        self.block = self.block_cols = self.kernel = self.f = None
         self.ideal_is_zero = False
         self.width_gaps = self.columns_at_point = None
         if len(basis) == 1 and fs[0]:
@@ -207,16 +208,17 @@ class CosetSolver:
             self.width_gaps = [
                 (w, gap) for w, gap in zip(dirs, map(sub, self.f.widths(dirs), low)) if gap > 0
             ]
-        elif n - len(basis) == len(self.pivot_cols):
-            # G has that rank; zero columns add nothing to it, so the
-            # nonzero ones are independent and G's pivot rows give a
-            # nonsingular block
+        elif n - len(basis) == len(self.moved_rows):
+            # J - I has that rank; zero rows add nothing to it, so the
+            # moved rows are independent and, on the pivot columns, give
+            # a nonsingular block, written transposed for Cramer's m x = b
             self.mode = "decoupled"
-            self.G = jmi.transpose()
-            if self.pivot_cols:
-                self.sub_rows = sorted(self.G.echelon_pivots()[1])
-                self.sub = self.G.submatrix(self.sub_rows, self.pivot_cols)
-                self.sub.adjugate()
+            if self.moved_rows:
+                self.block_cols = sorted(jmi.echelon_pivots()[2])
+                self.block = LaurentMatrix(
+                    n, [[jmi.entries[i][j] for i in self.moved_rows] for j in self.block_cols]
+                )
+                self.block.adjugate()
         else:
             self.mode = "rank_deficient"
             self.ideal_is_zero = not any(fs)
@@ -272,26 +274,27 @@ class CosetSolver:
         return self._finish(a, wa, u)
 
     def _solve_decoupled(self, a, wa):
-        # Cramer on the pivot columns, a check against G, then the free
-        # columns peeled off the membership sum; by the chain rule
-        # G coords(w_a) is the coordinate vector of (image of w_a) * w_a^-1
+        # Cramer on the moved rows, a check against J - I, then the zero
+        # rows peeled off the membership sum; by the chain rule
+        # coords(w_a) (J - I) is the coordinate vector of
+        # (image of w_a) * w_a^-1
         n = self.n
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
-        tau = [-(shift * c) for c in self.G.mul_vector(word_coords(wa))]
+        tau = [-(shift * c) for c in self.jmi.vec_mul(word_coords(wa))]
         u = [LaurentPoly.zero(n)] * n
-        if self.sub is not None:
-            res = cramer_solve(self.sub, [tau[r] for r in self.sub_rows])
+        if self.block is not None:
+            res = cramer_solve(self.block, [tau[j] for j in self.block_cols])
             if res.status == "singular":
                 raise InternalCheckError("square subsystem became singular")
             if res.status == "no_solution_in_ring":
                 return CosetOutcome(a, "none")
-            for col, val in zip(self.pivot_cols, res.solution):
-                u[col] = val
-        if any((lhs - r) for lhs, r in zip(self.G.mul_vector(u), tau)):
+            for i, val in zip(self.moved_rows, res.solution):
+                u[i] = val
+        if any((lhs - r) for lhs, r in zip(self.jmi.vec_mul(u), tau)):
             return CosetOutcome(a, "none")
-        # u is still zero on the free columns, which must pay this residual
+        # u is still zero on the zero rows, which must pay this residual
         residual = -membership(u)
-        for i in self.free_cols:
+        for i in self.zero_rows:
             u[i], residual = peel(residual, i)
         if not residual.is_zero():
             return CosetOutcome(a, "none")

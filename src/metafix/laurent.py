@@ -111,33 +111,16 @@ def _check(keys, n):
 # -- term maps: dicts from keys to nonzero ints ---------------------------
 
 
-def _add(a, b):
+def _add(a, b, s=1):
+    """The term map of a + s * b for a sign s = +-1."""
     out = dict(a)
+    get = out.get
     for k, v in b.items():
-        c = out.get(k)
-        if c is None:
-            out[k] = v
+        c = get(k, 0) + s * v
+        if c:
+            out[k] = c
         else:
-            c = c + v
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-    return out
-
-
-def _sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        c = out.get(k)
-        if c is None:
-            out[k] = -v
-        else:
-            c = c - v
-            if c:
-                out[k] = c
-            else:
-                del out[k]
+            del out[k]
     return out
 
 
@@ -352,13 +335,13 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, _sub(self.terms, other.terms))
+        return LaurentPoly._raw(self.nvars, _add(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, _sub(other.terms, self.terms))
+        return LaurentPoly._raw(self.nvars, _add(other.terms, self.terms, -1))
 
     def __neg__(self):
         return LaurentPoly._raw(self.nvars, {k: -v for k, v in self.terms.items()})

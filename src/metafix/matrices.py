@@ -8,10 +8,11 @@ last pivot, signed by its row and column swaps.  Every interior division
 is by a previous pivot and is exact in the ring; a failing division
 signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
 which is faster there, unless a memoized elimination has already shown
-the matrix singular.  A transpose takes over the elimination of its
-original, so one elimination gives a left kernel basis too.  The
-adjugate and the kernel vectors are all built from one helper of signed
-maximal minors, which expands minors up to 4 x 4 by cofactors directly.
+the matrix singular.  Kernels are row vectors k with k M = 0, the form
+in which the fixed-point conditions come, so the same elimination gives
+the left kernel basis too.  The adjugate and the kernel vectors are all
+built from one helper of signed maximal minors, which expands minors up
+to 4 x 4 by cofactors directly.
 
 The inner sums are each one call of `LaurentPoly.sum_products`, with no
 intermediate polynomial: the Bareiss update a_kk a_ij - a_ik a_kj, each
@@ -23,6 +24,7 @@ shift.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
 
 from .errors import InvariantError
@@ -98,25 +100,6 @@ class LaurentMatrix:
         return LaurentMatrix(
             self.nvars,
             [[dot(row, col, self.nvars) for col in cols] for row in self.entries],
-        )
-
-    def transpose(self):
-        """The transpose.  It takes over a memoized elimination and
-        determinant: the pivot rows of one matrix are the pivot columns of
-        the other, and their pivot blocks are transposes."""
-        t = LaurentMatrix(
-            self.nvars,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-        t._det = self._det
-        if self._pivots is not None:
-            rank, prows, pcols, sign, last = self._pivots
-            t._pivots = rank, pcols, prows, sign, last
-        return t
-
-    def submatrix(self, row_idx, col_idx):
-        return LaurentMatrix(
-            self.nvars, [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
     def mul_vector(self, vec):
@@ -218,44 +201,42 @@ class LaurentMatrix:
     def rank(self):
         return self.echelon_pivots()[0]
 
-    def kernel_vector(self, free=None):
-        """A nonzero ring vector in the right kernel, or None if full
-        column rank.
+    def kernel_vector(self, row=None):
+        """A nonzero ring row vector k with k M = 0, or None if full row
+        rank.
 
-        Built from signed maximal minors on the pivot rows and columns
-        plus the non-pivot column `free` (by default the first), then put
-        in the form of `normalize_vector`.  Its entry at `free` is nonzero
-        and its entries at the other non-pivot columns are zero.
+        Built from signed maximal minors on the pivot columns and rows
+        plus the non-pivot row `row` (by default the first), then put in
+        the form of `normalize_vector`.  Its entry at `row` is nonzero and
+        its entries at the other non-pivot rows are zero.
         """
         rank, prows, pcols = self.echelon_pivots()
-        if rank == self.cols:
+        if rank == self.rows:
             return None
-        if free is None:
-            free = min(set(range(self.cols)).difference(pcols))
-        elif not 0 <= free < self.cols:
-            raise ValueError(f"column {free} out of range")
-        elif free in pcols:
-            raise ValueError(f"column {free} is a pivot column")
-        sel = sorted(pcols + (free,))
-        rows = sorted(prows)
-        c = _signed_minors([[self.entries[i][j] for i in rows] for j in sel], self.nvars)
-        z = [LaurentPoly.zero(self.nvars)] * self.cols
-        for col, e in zip(sel, c):
-            z[col] = e
-        z = normalize_vector(z)
-        if any(not e.is_zero() for e in self.mul_vector(z)):
+        if row is None:
+            row = min(set(range(self.rows)).difference(prows))
+        elif not 0 <= row < self.rows:
+            raise ValueError(f"row {row} out of range")
+        elif row in prows:
+            raise ValueError(f"row {row} is a pivot row")
+        sel = sorted(prows + (row,))
+        cols = sorted(pcols)
+        c = _signed_minors([[self.entries[i][j] for j in cols] for i in sel], self.nvars)
+        k = [LaurentPoly.zero(self.nvars)] * self.rows
+        for i, e in zip(sel, c):
+            k[i] = e
+        k = normalize_vector(k)
+        if any(not e.is_zero() for e in self.vec_mul(k)):
             raise ExactDivisionError("kernel vector does not annihilate the matrix")
-        return z
+        return k
 
     def left_kernel_basis(self):
         """A basis, over the fraction field, of the row vectors k with
-        k M = 0: one `kernel_vector` of the transpose, which takes this
-        matrix's elimination over, per non-pivot row.  Vector i is the
+        k M = 0: one `kernel_vector` per non-pivot row.  Vector i is the
         only one nonzero at non-pivot row i."""
         if self._basis is None:
             prows = self._elimination()[1]
-            t = self.transpose()
-            self._basis = tuple(t.kernel_vector(i) for i in range(self.rows) if i not in prows)
+            self._basis = tuple(self.kernel_vector(i) for i in range(self.rows) if i not in prows)
         return self._basis
 
 
@@ -264,7 +245,7 @@ def normalize_vector(z):
     primitive part q of the entry with fewest terms stripped when it
     divides every entry, the integer content divided out, and the first
     nonzero entry's leading unit removed.  Sound for kernel vectors over
-    a domain: M (z/q) q = 0 forces M (z/q) = 0.
+    a domain: (z/q) q M = 0 forces (z/q) M = 0.
 
     One pass: each entry takes one division, by g q with g the content
     of z, and one shift by the inverse of the lead's unit unless that is
@@ -343,22 +324,11 @@ def _det_cofactor(rows, nvars):
     return LaurentPoly.sum_products(nvars, products)
 
 
-class CramerResult:
-    """Outcome of solving a square system by Cramer's rule.
-
-    status is one of "solution" (ring solution found), "no_solution_in_ring"
-    (the unique fraction-field solution is not a ring vector), or
-    "singular" (zero determinant, Cramer does not apply).
-    """
-
-    __slots__ = ("status", "solution")
-
-    def __init__(self, status, solution=None):
-        self.status = status
-        self.solution = solution
-
-    def __repr__(self):
-        return f"CramerResult({self.status!r})"
+CramerResult = namedtuple("CramerResult", "status solution", defaults=(None,))
+CramerResult.__doc__ = """Outcome of solving a square system by Cramer's rule:
+status "solution" (ring solution found), "no_solution_in_ring" (the
+unique fraction-field solution is not a ring vector) or "singular" (zero
+determinant, Cramer does not apply), and on "solution" the solution."""
 
 
 def dot(u, v, nvars):

@@ -220,6 +220,20 @@ def test_reduced_shapes():
         assert gassner_reduced(BraidWord(2, [(i, j, s)])).rows == 1
 
 
+def test_reduced_matrix_of_a_word_and_of_its_automorphism_agree():
+    # gassner accepts the automorphism, so gassner_reduced and
+    # alexander_vanishes take it too; an identity braid and a
+    # commuting pair give both Alexander answers
+    for b in (
+        BraidWord(3),
+        parse_braid("A[1,2] A[2,3]^-1", 3),
+        parse_braid("A[1,2] A[3,4]", 4),
+    ):
+        phi = braid_automorphism(b)
+        assert gassner_reduced(phi) == gassner_reduced(b) == gassner_reduced(gassner(b))
+        assert alexander_vanishes(phi) == alexander_vanishes(b)
+
+
 def test_gassner_is_multiplicative():
     rng = random.Random(62)
     for _ in range(20):

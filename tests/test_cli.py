@@ -243,6 +243,22 @@ def test_input_files_are_closed(monkeypatch, capsys):
     assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
+def test_a_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys):
+    # files are read as UTF-8 whatever the locale, and a leading byte
+    # order mark is dropped, not taken for part of the first generator
+    plain = data_path("infinite_fix.endo")
+    marked = tmp_path / "marked.endo"
+    with open(plain, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    reports = []
+    for path in (plain, str(marked)):
+        rep = run_json(capsys, "analyze", path, "--bound", "1", "--json")
+        rep.pop("timing")
+        rep["input"].pop("file")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 def golden(name):
     with open(data_path(os.path.join("golden", name))) as fh:
         return json.load(fh)

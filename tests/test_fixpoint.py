@@ -60,6 +60,14 @@ def displacements(phi):
     return [word_coords(Word.generator(i, n).inverse() * y) for i, y in enumerate(phi.images)]
 
 
+def transposed(m):
+    return LaurentMatrix(m.nvars, [list(col) for col in zip(*m.entries)])
+
+
+def cut(m, rows, cols):
+    return LaurentMatrix(m.nvars, [[m.entries[i][j] for j in cols] for i in rows])
+
+
 def fixed_point_system(phi, jmi=None):
     """B, whose column k is (x_{k+1}^-1 - 1) v_k + (1 - x_k^-1) v_{k+1}
     with v_k the displacement coordinates; row i of J - I is x_i * v_i,
@@ -95,7 +103,7 @@ def commutator_form_word(z):
 
 
 def reference_commutator_witness(phi):
-    z = fixed_point_system(phi).kernel_vector()
+    z = transposed(fixed_point_system(phi)).kernel_vector()
     return None if z is None else commutator_form_word(z)
 
 
@@ -140,10 +148,10 @@ def test_system_examples(displaced_pair, infinite_fix):
     for j in range(3):
         assert b15.entries[j][0] == scale * v1[j]
         assert b15.entries[j][1].is_zero()
-    assert b15.kernel_vector() == [LaurentPoly.zero(3), LaurentPoly.one(3)]
+    assert transposed(b15).kernel_vector() == [LaurentPoly.zero(3), LaurentPoly.one(3)]
 
     b32 = fixed_point_system(displaced_pair)
-    assert b32.cols == 1 and b32.kernel_vector() is None
+    assert b32.cols == 1 and transposed(b32).kernel_vector() is None
 
 
 def _system_from_displacements(phi):
@@ -188,7 +196,7 @@ def test_system_matches_oracle_on_random_scalars():
             checked_zero += 1
         else:
             checked_nonzero += 1
-        kz = b.kernel_vector()
+        kz = transposed(b).kernel_vector()
         if kz is not None:
             assert is_fixed(phi, commutator_form_word(kz))
             checked_zero += 1
@@ -274,9 +282,8 @@ def test_search_report_shape(infinite_fix):
 
 
 def test_a_second_search_reuses_the_elimination_of_j_minus_i(monkeypatch):
-    # J - I is kept on phi and its elimination on J - I, which a transpose
-    # takes over, so two searches on one phi run the Bareiss loop over
-    # J - I or (J - I)^T once
+    # J - I is kept on phi and its elimination on J - I, so two searches
+    # on one phi run the Bareiss loop over J - I once
     eliminated = []
     elimination = LaurentMatrix._elimination
 
@@ -292,7 +299,7 @@ def test_a_second_search_reuses_the_elimination_of_j_minus_i(monkeypatch):
         eliminated.clear()
         first = search_fixed(phi, 1)
         second = search_fixed(phi, 1)
-        assert sum(m == jmi or m == jmi.transpose() for m in eliminated) == 1
+        assert sum(m == jmi for m in eliminated) == 1
         assert first == second
 
 
@@ -363,7 +370,7 @@ class ReferenceCosetSolver:
         n = self.n = phi.rank
         self.phi = phi
         jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
-        self.G = jmi.transpose()
+        self.G = transposed(jmi)
         self.membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
         self.stacked = LaurentMatrix(n, self.G.entries + [self.membership])
         self.free_cols = [
@@ -381,15 +388,15 @@ class ReferenceCosetSolver:
         n = self.n
         if self.stacked.rank() == n:
             rows = sorted(self.stacked.echelon_pivots()[1])
-            self.sub = self.stacked.submatrix(rows, list(range(n)))
+            self.sub = cut(self.stacked, rows, range(n))
             return "unique", rows
         p = self.pivot_cols
         if not p:
             return "decoupled", []
-        rank, prows, _ = self.G.submatrix(list(range(n)), p).echelon_pivots()
+        rank, prows, _ = cut(self.G, range(n), p).echelon_pivots()
         if rank == len(p):
             rows = sorted(prows)
-            self.sub = self.G.submatrix(rows, p)
+            self.sub = cut(self.G, rows, p)
             return "decoupled", rows
         return "rank_deficient", None
 
@@ -476,7 +483,7 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
     # on "decoupled" the ideal is (x_i - 1 : x_i fixed), so a coset holds a
     # fixed point iff a vanishes on every moved generator, and then w_a is
     # one.  Every Cramer solve has a solution, u0 = -x^-a coords(w_a) on
-    # the pivot columns: by the chain rule the right-hand side is u0 (J - I)
+    # the moved rows: by the chain rule the right-hand side is u0 (J - I)
     solves = []
 
     def recording_cramer(m, b):
@@ -490,7 +497,7 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
     endos = cosets = cramer_calls = 0
     for phi in phis:
         solver = CosetSolver(phi)
-        if solver.mode != "decoupled" or not solver.pivot_cols:
+        if solver.mode != "decoupled" or not solver.moved_rows:
             continue
         endos += 1
         n = phi.rank
@@ -498,7 +505,7 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
             solves.clear()
             got = solver.solve(a)
             wa = coset_word(a, n)
-            if any(a[i] for i in solver.pivot_cols):
+            if any(a[i] for i in solver.moved_rows):
                 assert got.status == "none", (phi, a)
             else:
                 assert got.status == "found" and got.witness.letters == wa.letters, (phi, a)
@@ -506,7 +513,7 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
             u0 = [-(shift * c) for c in word_coords(wa)]
             for res in solves:
                 assert res.status == "solution", (phi, a)
-                assert list(res.solution) == [u0[i] for i in solver.pivot_cols], (phi, a)
+                assert list(res.solution) == [u0[i] for i in solver.moved_rows], (phi, a)
             cosets += 1
             cramer_calls += len(solves)
     assert endos >= 30 and cramer_calls >= cosets // 2, (endos, cosets, cramer_calls)
@@ -761,7 +768,7 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
         combined += 1
         u = commutator_fixed_coords(basis, fs)
         assert is_module_vector(u) and any(u)
-        assert all(p.is_zero() for p in jmi.transpose().mul_vector(u))
+        assert all(p.is_zero() for p in jmi.vec_mul(u))
         w = fixed_point_in_commutator(phi)
         assert word_coords(w) == u and is_fixed(phi, w)
     assert combined >= 20, combined

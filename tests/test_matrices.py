@@ -107,38 +107,16 @@ def test_rank_equals_transpose_rank():
         assert m.rank() == fresh_transpose(m).rank()
 
 
-def test_transpose_takes_over_the_elimination():
-    # the handed-over pivots must be those of a valid elimination of the
-    # transpose: the right rank and a nonsingular pivot block
-    rng = random.Random(49)
-    for trial in range(30):
-        n = rng.randrange(1, 3)
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-        if trial % 2:
-            m = random_low_rank(rng, rows, cols, rng.randrange(min(rows, cols)), n)
-        else:
-            m = random_matrix(rng, rows, cols, n)
-        rank, prows, pcols = m.echelon_pivots()
-        t = m.transpose()
-        assert t == fresh_transpose(m)
-        assert t.echelon_pivots() == (rank, pcols, prows)
-        assert fresh_transpose(m).rank() == rank
-        if rank:
-            assert not t.submatrix(sorted(pcols), sorted(prows)).det().is_zero()
-        if rows == cols:
-            assert t.det() == _det_cofactor(t.entries, n)
-
-
 def test_det_of_an_eliminated_singular_matrix_is_zero_without_expanding(monkeypatch):
     rng = random.Random(50)
     m = random_low_rank(rng, 3, 3, 2, 2)
     assert m.rank() == 2
     monkeypatch.setattr("metafix.matrices._det_cofactor", lambda *a: 1 / 0)
-    assert m.det() == 0 and m.transpose().det() == 0
+    assert m.det() == 0
 
 
 def test_kernel_examples():
-    m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1), parse_poly("x1 - 1", 1)]])
+    m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1)], [parse_poly("x1 - 1", 1)]])
     z = m.kernel_vector()
     assert z == [LaurentPoly.one(1), LaurentPoly.constant(-1, 1)]
 
@@ -151,7 +129,6 @@ def test_left_kernel_basis_spans_the_left_kernel():
     # non-pivot rows, each annihilating the matrix from the left, all
     # from the matrix's own elimination
     rng = random.Random(51)
-    same = 0
     for trial in range(40):
         n = rng.randrange(1, 3)
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 4)
@@ -160,27 +137,23 @@ def test_left_kernel_basis_spans_the_left_kernel():
         free = [i for i in range(rows) if i not in prows]
         basis = m.left_kernel_basis()
         assert basis is m.left_kernel_basis() and len(basis) == rows - rank
-        t = fresh_transpose(m)
         for i, k in zip(free, basis):
             assert all(p.is_zero() for p in m.vec_mul(k))
             assert [not k[j].is_zero() for j in free] == [j == i for j in free]
-        if t.echelon_pivots()[2] == prows:
-            same += 1
-            assert list(basis) == [t.kernel_vector(i) for i in free]
-    assert same >= 20, same
+        assert list(basis) == [m.kernel_vector(i) for i in free]
 
 
 def test_kernel_vector_rejects_a_pivot_column():
-    m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1), parse_poly("x1 - 1", 1)]])
+    m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1)], [parse_poly("x1 - 1", 1)]])
     with pytest.raises(ValueError):
-        m.kernel_vector(m.echelon_pivots()[2][0])
-    # column indices outside 0 <= free < cols, including a negative one
-    # that names the pivot column
-    m = LaurentMatrix(2, [[P("x1 - 1"), P("x2 - 1"), P("x1*x2")]])
-    assert m.echelon_pivots()[2] == (2,)
-    for free in (-1, -3, 3):
+        m.kernel_vector(m.echelon_pivots()[1][0])
+    # row indices outside 0 <= row < rows, including a negative one that
+    # names the pivot row
+    m = LaurentMatrix(2, [[P("x1 - 1")], [P("x2 - 1")], [P("x1*x2")]])
+    assert m.echelon_pivots()[1] == (2,)
+    for row in (-1, -3, 3):
         with pytest.raises(ValueError):
-            m.kernel_vector(free)
+            m.kernel_vector(row)
 
 
 def test_kernel_annihilates_random():
@@ -191,13 +164,13 @@ def test_kernel_annihilates_random():
         rows = rng.randrange(1, 4)
         cols = rng.randrange(1, 4)
         m = random_matrix(rng, rows, cols, n, terms=1)
-        z = m.kernel_vector()
-        if z is None:
-            assert m.rank() == cols
+        k = m.kernel_vector()
+        if k is None:
+            assert m.rank() == rows
             continue
         hits += 1
-        assert any(not p.is_zero() for p in z)
-        assert all(p.is_zero() for p in m.mul_vector(z))
+        assert any(not p.is_zero() for p in k)
+        assert all(p.is_zero() for p in m.vec_mul(k))
     assert hits > 10
 
 

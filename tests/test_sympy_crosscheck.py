@@ -146,13 +146,14 @@ def test_rank_of_rank_deficient_matrices_matches_sympy(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_vector_of_a_five_by_six_matrix_checks_in_sympy(n):
-    # rank 5 with six columns: the kernel vector is built from 5 x 5
-    # minors, which `det` takes by elimination
+    # rank 5 with six columns: the row kernel vector of the 6 x 5
+    # transpose is built from 5 x 5 minors, which `det` takes by
+    # elimination, and sympy checks m z = 0
     rng = random.Random(90 + n)
     for _ in range(2):
         m = random_matrix(rng, 5, 6, n, **SMALL)
         assert m.rank() == sympy_rank(m) == 5
-        z = m.kernel_vector()
+        z = LaurentMatrix(n, list(zip(*m.entries))).kernel_vector()
         assert any(z)
         mz = least(z, n)
         col = DomainMatrix([[cleared(p, mz)] for p in z], (6, 1), ring(n))
