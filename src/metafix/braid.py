@@ -36,7 +36,7 @@ from itertools import groupby
 
 from .endo import Endomorphism
 from .errors import InvariantError
-from .fox import jacobian, membership_row
+from .fox import jacobian, membership, membership_row
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
 from .words import Word, WordError, check_size, parse_digits
@@ -190,7 +190,7 @@ def gassner_reduced(b):
     unreduced = b if isinstance(b, LaurentMatrix) else gassner(b)
     n = unreduced.rows
     xi = membership_row(n)
-    if unreduced.mul_vector(xi) != list(xi):
+    if [membership(row) for row in unreduced.entries] != list(xi):
         raise GassnerConventionError(
             "the column (x_i - 1) is not fixed by the unreduced matrix"
         )

@@ -49,10 +49,13 @@ routes are shapes of that kernel:
   width_w(f) - width_w(k_i) is computed once, for w in e_j and e_j +- e_k,
   and a coset with |w . a| below one of them takes no division.
 - "decoupled": the rows of J - I for the fixed generators vanish and the
-  others are independent.  Cramer's rule on the pivot columns of its one
-  elimination gives the other coordinates, and the free ones are peeled
-  off the membership sum by x_i - 1 (`fox.peel`).  The chain rule gives
-  the right-hand side, -x^-a * coords(w_a) (J - I), with no image word.
+  others are independent.  Cramer's rule on the moved rows, cut to the
+  pivot columns of its one elimination, gives the moved coordinates, and
+  the free ones are peeled off the membership sum by x_i - 1
+  (`fox.peel`).  The chain rule gives the right-hand side,
+  -x^-a * coords(w_a) (J - I), with no image word; it is u0 (J - I), so
+  Cramer always returns u0 on the moved rows, and any other answer is a
+  bug.
 - "rank_deficient": the rest.  If every f_j = 0, the membership column
   x - 1 lies in the column space of J - I (over the fraction field the
   column space is the orthogonal complement of the left kernel), the
@@ -175,8 +178,9 @@ class CosetSolver:
     The constructor does all the linear algebra of the chosen route (see
     the module docstring) from the left kernel basis of J - I and its
     values f: the kernel vector k, f = k . (x - 1) and the width gaps of
-    f over k on "unique", the determinant and adjugate of the square
-    block of J - I on "decoupled", whether the ideal is zero on
+    f over k on "unique", the square block of J - I (the moved rows on
+    the pivot columns, whose determinant the first Cramer solve keeps)
+    on "decoupled", whether the ideal is zero on
     "rank_deficient", and on the last two, unless the ideal is zero,
     J - I at the screen point.
     A "unique" query whose |w . a| lies below a gap is "none" by
@@ -211,14 +215,13 @@ class CosetSolver:
         elif n - len(basis) == len(self.moved_rows):
             # J - I has that rank; zero rows add nothing to it, so the
             # moved rows are independent and, on the pivot columns, give
-            # a nonsingular block, written transposed for Cramer's m x = b
+            # a nonsingular block
             self.mode = "decoupled"
             if self.moved_rows:
                 self.block_cols = sorted(jmi.echelon_pivots()[2])
                 self.block = LaurentMatrix(
-                    n, [[jmi.entries[i][j] for i in self.moved_rows] for j in self.block_cols]
+                    n, [[jmi.entries[i][j] for j in self.block_cols] for i in self.moved_rows]
                 )
-                self.block.adjugate()
         else:
             self.mode = "rank_deficient"
             self.ideal_is_zero = not any(fs)
@@ -277,21 +280,19 @@ class CosetSolver:
         # Cramer on the moved rows, a check against J - I, then the zero
         # rows peeled off the membership sum; by the chain rule
         # coords(w_a) (J - I) is the coordinate vector of
-        # (image of w_a) * w_a^-1
+        # (image of w_a) * w_a^-1, and Cramer and the check cannot fail
         n = self.n
         shift = LaurentPoly.monomial(tuple(-e for e in a), n)
         tau = [-(shift * c) for c in self.jmi.vec_mul(word_coords(wa))]
         u = [LaurentPoly.zero(n)] * n
         if self.block is not None:
             res = cramer_solve(self.block, [tau[j] for j in self.block_cols])
-            if res.status == "singular":
-                raise InternalCheckError("square subsystem became singular")
-            if res.status == "no_solution_in_ring":
-                return CosetOutcome(a, "none")
+            if res.status != "solution":
+                raise InternalCheckError(f"Cramer on the moved rows answered {res.status}")
             for i, val in zip(self.moved_rows, res.solution):
                 u[i] = val
         if any((lhs - r) for lhs, r in zip(self.jmi.vec_mul(u), tau)):
-            return CosetOutcome(a, "none")
+            raise InternalCheckError("Cramer solution fails u (J - I) = tau")
         # u is still zero on the zero rows, which must pay this residual
         residual = -membership(u)
         for i in self.zero_rows:

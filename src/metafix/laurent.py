@@ -405,7 +405,15 @@ class LaurentPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # a constant equals its integer, so it hashes like it
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            c = terms.get(_origin(self.nvars))
+            if c is not None:
+                return hash(c)
+        return hash((self.nvars, frozenset(terms.items())))
 
     def as_unit(self):
         """Return (coeff, mono) if the polynomial is +-x^m, else None."""

@@ -8,18 +8,18 @@ last pivot, signed by its row and column swaps.  Every interior division
 is by a previous pivot and is exact in the ring; a failing division
 signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
 which is faster there, unless a memoized elimination has already shown
-the matrix singular.  Kernels are row vectors k with k M = 0, the form
-in which the fixed-point conditions come, so the same elimination gives
-the left kernel basis too.  The adjugate and the kernel vectors are all
+the matrix singular.  Vectors are rows, the form in which the
+fixed-point conditions come: kernels are row vectors k with k M = 0, so
+the same elimination gives the left kernel basis too, and `cramer_solve`
+solves x M = b.  The kernel vectors and Cramer's numerators are all
 built from one helper of signed maximal minors, which expands minors up
 to 4 x 4 by cofactors directly.
 
 The inner sums are each one call of `LaurentPoly.sum_products`, with no
 intermediate polynomial: the Bareiss update a_kk a_ij - a_ik a_kj, each
 level of the cofactor expansion, and `dot`, which serves the matrix
-products, the kernel-vector check and `cramer_solve`.  The first
-Bareiss step divides by the starting pivot 1, which `laurent` does as a
-shift.
+products and the kernel-vector check.  The first Bareiss step divides by
+the starting pivot 1, which `laurent` does as a shift.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ class LaurentMatrix:
     """A matrix over the Laurent ring in `nvars` variables.
 
     Nothing writes `entries` after `__init__`, so the determinant, the
-    adjugate, the elimination pivots and the left kernel basis are
-    computed at most once per instance and kept in the private slots.
+    elimination pivots and the left kernel basis are computed at most once
+    per instance and kept in the private slots.
     """
 
-    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_adj", "_pivots", "_basis")
+    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_pivots", "_basis")
 
     def __init__(self, nvars, entries):
-        self._det = self._adj = self._pivots = self._basis = None
+        self._det = self._pivots = self._basis = None
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -88,10 +88,6 @@ class LaurentMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly) or isinstance(other, int):
-            return LaurentMatrix(
-                self.nvars, [[e * other for e in row] for row in self.entries]
-            )
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -101,11 +97,6 @@ class LaurentMatrix:
             self.nvars,
             [[dot(row, col, self.nvars) for col in cols] for row in self.entries],
         )
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [dot(row, vec, self.nvars) for row in self.entries]
 
     def vec_mul(self, vec):
         """Row vector times matrix."""
@@ -131,22 +122,6 @@ class LaurentMatrix:
                 full = rank == self.rows
                 self._det = last * sign if full else LaurentPoly.zero(self.nvars)
         return self._det
-
-    def adjugate(self):
-        """The adjugate as tuples: adj[k][i] = (-1)^(i+k) times the minor of
-        m without row i and column k, so that m * adj = det(m) * I."""
-        if self._adj is None:
-            if self.rows != self.cols:
-                raise ValueError("adjugate of a non-square matrix")
-            n = self.rows
-            adj = []
-            for k in range(n):
-                # the rows without column k: minor i is signed (-1)^(i+n-1)
-                cut = [row[:k] + row[k + 1 :] for row in self.entries]
-                c = _signed_minors(cut, self.nvars)
-                adj.append(tuple(c if (k + n - 1) % 2 == 0 else [-e for e in c]))
-            self._adj = tuple(adj)
-        return self._adj
 
     def echelon_pivots(self):
         """(rank, pivot_rows, pivot_cols) of the elimination, the indices as
@@ -201,23 +176,19 @@ class LaurentMatrix:
     def rank(self):
         return self.echelon_pivots()[0]
 
-    def kernel_vector(self, row=None):
-        """A nonzero ring row vector k with k M = 0, or None if full row
-        rank.
+    def kernel_vector(self, row):
+        """A nonzero ring row vector k with k M = 0, for the non-pivot row
+        `row`.
 
         Built from signed maximal minors on the pivot columns and rows
-        plus the non-pivot row `row` (by default the first), then put in
-        the form of `normalize_vector`.  Its entry at `row` is nonzero and
-        its entries at the other non-pivot rows are zero.
+        plus `row`, then put in the form of `normalize_vector`.  Its entry
+        at `row` is nonzero and its entries at the other non-pivot rows
+        are zero.
         """
-        rank, prows, pcols = self.echelon_pivots()
-        if rank == self.rows:
-            return None
-        if row is None:
-            row = min(set(range(self.rows)).difference(prows))
-        elif not 0 <= row < self.rows:
+        _, prows, pcols = self.echelon_pivots()
+        if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range")
-        elif row in prows:
+        if row in prows:
             raise ValueError(f"row {row} is a pivot row")
         sel = sorted(prows + (row,))
         cols = sorted(pcols)
@@ -325,10 +296,11 @@ def _det_cofactor(rows, nvars):
 
 
 CramerResult = namedtuple("CramerResult", "status solution", defaults=(None,))
-CramerResult.__doc__ = """Outcome of solving a square system by Cramer's rule:
-status "solution" (ring solution found), "no_solution_in_ring" (the
-unique fraction-field solution is not a ring vector) or "singular" (zero
-determinant, Cramer does not apply), and on "solution" the solution."""
+CramerResult.__doc__ = """Outcome of solving a square system x m = b by
+Cramer's rule: status "solution" (ring solution found),
+"no_solution_in_ring" (the unique fraction-field solution is not a ring
+vector) or "singular" (zero determinant, Cramer does not apply), and on
+"solution" the solution."""
 
 
 def dot(u, v, nvars):
@@ -337,24 +309,24 @@ def dot(u, v, nvars):
 
 
 def cramer_solve(m, b):
-    """Solve m x = b by Cramer's rule.
+    """Solve the row system x m = b by Cramer's rule.
 
-    Numerator k is det(m with column k replaced by b), taken as its
-    Laplace expansion along that column: row k of the adjugate dotted
-    with b.  The determinant and the adjugate are kept on m, so repeated
-    solves with one matrix cost a dot product and an exact division per
-    unknown.
+    The signed maximal minors c of the rows of m and b satisfy
+    sum_i c_i m_i + c_r b = 0 with c_r = det m, so x_i = c_i / -det m:
+    -c_i is det(m with row i replaced by b).  The singular test reads
+    the determinant kept on m.
     """
     if m.rows != m.cols:
         raise ValueError("Cramer's rule needs a square matrix")
-    if len(b) != m.rows:
+    if len(b) != m.cols:
         raise ValueError("right-hand side length mismatch")
     d = m.det()
     if d.is_zero():
         return CramerResult("singular")
+    minus_d = -d
     sol = []
-    for row in m.adjugate():
-        q = dot(row, b, m.nvars).divide_exact(d)
+    for c in _signed_minors(m.entries + [b], m.nvars)[:-1]:
+        q = c.divide_exact(minus_d)
         if q is None:
             return CramerResult("no_solution_in_ring")
         sol.append(q)

@@ -148,6 +148,27 @@ def test_plain_text_output(capsys):
     assert "rank_defect_class: rank=n-1" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", data_path("infinite_fix.endo"), "--bound", "1"),
+        ("braid", "3", "A[1,2]"),
+        ("verify", data_path("infinite_fix.endo"), "x2"),
+    ],
+)
+def test_text_form_names_every_json_key(capsys, argv):
+    # the indented text has the keys of the --json report, each top-level
+    # key on an unindented line, and a scalar as its value
+    report = run_json(capsys, *argv, "--json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    top = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert sorted(line.split(":", 1)[0] for line in top) == sorted(report)
+    for key, value in report.items():
+        if key != "timing" and not isinstance(value, (dict, list)):
+            assert f"{key}: {value}" in top, key
+
+
 def test_hostile_power_is_rejected(tmp_path, capsys):
     f = tmp_path / "hostile.endo"
     f.write_text("x1 -> x1 ([x1,x2])^100000000\nx2 -> x2\n")

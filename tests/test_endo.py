@@ -122,6 +122,10 @@ def test_equal_values_hash_equal():
             Endomorphism([x1 * x1.commutator(x2), x2]),
         ),
         (parse_braid("A[1,2] A[2,3]^-1", 3), BraidWord(3, [(1, 2, 1), (2, 3, -1)])),
+        # a constant polynomial equals its integer
+        (LaurentPoly.constant(3, 2), 3),
+        (LaurentPoly.zero(2), 0),
+        (parse_poly("x1 - x1 - 5", 2), -5),
     ]
     for a, b in pairs:
         assert a is not b and a == b

@@ -32,7 +32,7 @@ from metafix.magnus import (
     module_power_word,
     realize_coords,
 )
-from metafix.matrices import LaurentMatrix, _signed_minors, cramer_solve, dot
+from metafix.matrices import CramerResult, LaurentMatrix, _signed_minors, cramer_solve, dot
 from metafix.samples import (
     random_ia,
     random_poly,
@@ -103,8 +103,8 @@ def commutator_form_word(z):
 
 
 def reference_commutator_witness(phi):
-    z = transposed(fixed_point_system(phi)).kernel_vector()
-    return None if z is None else commutator_form_word(z)
+    basis = transposed(fixed_point_system(phi)).left_kernel_basis()
+    return commutator_form_word(basis[0]) if basis else None
 
 
 def test_is_ia_examples(infinite_fix):
@@ -148,10 +148,10 @@ def test_system_examples(displaced_pair, infinite_fix):
     for j in range(3):
         assert b15.entries[j][0] == scale * v1[j]
         assert b15.entries[j][1].is_zero()
-    assert transposed(b15).kernel_vector() == [LaurentPoly.zero(3), LaurentPoly.one(3)]
+    assert transposed(b15).left_kernel_basis() == ([LaurentPoly.zero(3), LaurentPoly.one(3)],)
 
     b32 = fixed_point_system(displaced_pair)
-    assert b32.cols == 1 and transposed(b32).kernel_vector() is None
+    assert b32.cols == 1 and transposed(b32).left_kernel_basis() == ()
 
 
 def _system_from_displacements(phi):
@@ -190,15 +190,15 @@ def test_system_matches_oracle_on_random_scalars():
         b = fixed_point_system(phi)
         z = [random_poly(rng, n, terms=1, span=1, coeff=1) for _ in range(n - 1)]
         g = commutator_form_word(z)
-        in_kernel = all(p.is_zero() for p in b.mul_vector(z))
+        in_kernel = all(p.is_zero() for p in transposed(b).vec_mul(z))
         assert in_kernel == is_fixed(phi, g)
         if in_kernel:
             checked_zero += 1
         else:
             checked_nonzero += 1
-        kz = transposed(b).kernel_vector()
-        if kz is not None:
-            assert is_fixed(phi, commutator_form_word(kz))
+        basis = transposed(b).left_kernel_basis()
+        if basis:
+            assert is_fixed(phi, commutator_form_word(basis[0]))
             checked_zero += 1
     assert checked_zero > 5 and checked_nonzero > 5
 
@@ -362,7 +362,8 @@ def _column_space_forms(m):
 class ReferenceCosetSolver:
     """The coset solver before the "unique" route divided by f: every
     query applies phi to w_a, and the square routes solve by Cramer's
-    rule on the pivot rows of one elimination; "rank_deficient" tests the
+    rule on the pivot rows of one elimination, a column system kept
+    transposed for `cramer_solve`'s x m = b; "rank_deficient" tests the
     right-hand side against the column-space forms of the stacked
     matrix."""
 
@@ -388,7 +389,7 @@ class ReferenceCosetSolver:
         n = self.n
         if self.stacked.rank() == n:
             rows = sorted(self.stacked.echelon_pivots()[1])
-            self.sub = cut(self.stacked, rows, range(n))
+            self.sub = transposed(cut(self.stacked, rows, range(n)))
             return "unique", rows
         p = self.pivot_cols
         if not p:
@@ -396,7 +397,7 @@ class ReferenceCosetSolver:
         rank, prows, _ = cut(self.G, range(n), p).echelon_pivots()
         if rank == len(p):
             rows = sorted(prows)
-            self.sub = cut(self.G, rows, p)
+            self.sub = transposed(cut(self.G, rows, p))
             return "decoupled", rows
         return "rank_deficient", None
 
@@ -423,7 +424,7 @@ class ReferenceCosetSolver:
             for col, val in zip(range(n) if unique else self.pivot_cols, res.solution):
                 u[col] = val
         check = self.stacked if unique else self.G
-        if any((lhs - r) for lhs, r in zip(check.mul_vector(u), tau)):
+        if any((lhs - r) for lhs, r in zip(transposed(check).vec_mul(u), tau)):
             return CosetOutcome(a, "none")
         if not unique:
             residual = LaurentPoly.zero(n)
@@ -517,6 +518,22 @@ def test_decoupled_route_is_its_closed_form(monkeypatch, infinite_fix):
             cosets += 1
             cramer_calls += len(solves)
     assert endos >= 30 and cramer_calls >= cosets // 2, (endos, cosets, cramer_calls)
+
+
+@pytest.mark.parametrize("answer", ["no_solution_in_ring", "perturbed"])
+def test_a_failed_decoupled_solve_is_an_internal_error(monkeypatch, infinite_fix, answer):
+    # Cramer on the moved rows always returns u0, which passes the check
+    # u (J - I) = tau; any other answer is a bug, never a "none"
+    def broken_cramer(m, b):
+        if answer == "no_solution_in_ring":
+            return CramerResult("no_solution_in_ring")
+        return CramerResult("solution", [x + 1 for x in cramer_solve(m, b).solution])
+
+    monkeypatch.setattr(fixpoint, "cramer_solve", broken_cramer)
+    solver = CosetSolver(infinite_fix)
+    assert solver.mode == "decoupled" and solver.moved_rows
+    with pytest.raises(InternalCheckError):
+        solver.solve((1, 0, 0))
 
 
 def test_decoupled_cosets_moved_at_the_point_never_apply_phi(monkeypatch, infinite_fix):
@@ -683,12 +700,12 @@ def test_screens_skip_the_division_and_the_image(monkeypatch, displaced_pair):
 
 
 def test_zero_kernel_vector_is_an_internal_error(monkeypatch, displaced_pair, infinite_fix):
-    # every kernel basis vector of (J - I)^T is nonzero at its own
-    # non-pivot column; a zero one would decide routes and witnesses wrongly
+    # every left kernel basis vector of J - I is nonzero at its own
+    # non-pivot row; a zero one would decide routes and witnesses wrongly
     monkeypatch.setattr(
         LaurentMatrix,
         "kernel_vector",
-        lambda self, free=None: [LaurentPoly.zero(self.nvars)] * self.cols,
+        lambda self, row: [LaurentPoly.zero(self.nvars)] * self.rows,
     )
     for phi in (displaced_pair, infinite_fix):
         with pytest.raises(InternalCheckError):

@@ -1,5 +1,6 @@
 """The exact arithmetic against sympy, an independent implementation of
-polynomial division, determinants and rank over Z[x_1, ..., x_n].
+polynomial division, determinants, rank and linear solving over
+Z[x_1, ..., x_n].
 
 A nonzero Laurent polynomial p is x^m P, where m holds the least exponent
 of each variable and P is a polynomial that no x_i divides.  Monomials
@@ -20,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from metafix.laurent import LaurentPoly  # noqa: E402
-from metafix.matrices import LaurentMatrix  # noqa: E402
+from metafix.matrices import LaurentMatrix, cramer_solve  # noqa: E402
 
 GENS = sympy.symbols("x1:5")
 
@@ -153,8 +154,63 @@ def test_kernel_vector_of_a_five_by_six_matrix_checks_in_sympy(n):
     for _ in range(2):
         m = random_matrix(rng, 5, 6, n, **SMALL)
         assert m.rank() == sympy_rank(m) == 5
-        z = LaurentMatrix(n, list(zip(*m.entries))).kernel_vector()
+        z = LaurentMatrix(n, list(zip(*m.entries))).left_kernel_basis()[0]
         assert any(z)
         mz = least(z, n)
         col = DomainMatrix([[cleared(p, mz)] for p in z], (6, 1), ring(n))
         assert (cleared_rows(m)[1] * col).is_zero_matrix
+
+
+def to_fraction(p, field):
+    """p as an element of the fraction field of Z[x]."""
+    return field.from_sympy(sympy.Add(*[
+        c * sympy.Mul(*[g**e for g, e in zip(GENS, m)])
+        for m, c in p.exponent_terms().items()
+    ]))
+
+
+def is_laurent(q):
+    """Is the fraction q, kept in lowest terms, a Laurent polynomial: is
+    its denominator +-x^m?"""
+    terms = q.denom.terms()
+    return len(terms) == 1 and abs(terms[0][1]) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cramer_solve_matches_sympy(n):
+    # x m = b over the fraction field, by sympy's LU solve of the
+    # transposed system: Cramer answers its solution when that is a
+    # Laurent vector, "no_solution_in_ring" when it is not, and
+    # "singular" exactly when sympy's determinant is 0
+    rng = random.Random(100 + n)
+    field = sympy.ZZ.frac_field(*GENS[:n])
+    seen = {"solution": 0, "no_solution_in_ring": 0, "singular": 0}
+    for trial in range(36):
+        size = 1 + trial % 4
+        kind = trial // 4 % 3
+        r = rng.randrange(size)
+        if kind == 2 and r == 0:
+            m = LaurentMatrix(n, [[LaurentPoly.zero(n)] * size for _ in range(size)])
+        elif kind == 2:
+            m = rank_at_most(rng, size, r, n)
+        else:
+            m = random_matrix(rng, size, size, n, **SMALL)
+        b = [random_poly(rng, n, **SMALL) for _ in range(size)]
+        if kind == 0:
+            b = m.vec_mul(b)
+        res = cramer_solve(m, b)
+        seen[res.status] += 1
+        t = DomainMatrix(
+            [[to_fraction(p, field) for p in col] for col in zip(*m.entries)], (size, size), field
+        )
+        if t.det() == field.zero:
+            assert res.status == "singular", (m.entries, b)
+            continue
+        rhs = DomainMatrix([[to_fraction(p, field)] for p in b], (size, 1), field)
+        want = [row[0] for row in t.lu_solve(rhs).to_list()]
+        if all(is_laurent(q) for q in want):
+            assert res.status == "solution", (m.entries, b)
+            assert [to_fraction(p, field) for p in res.solution] == want
+        else:
+            assert res.status == "no_solution_in_ring", (m.entries, b)
+    assert min(seen.values()) >= 8, seen
