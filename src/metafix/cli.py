@@ -3,7 +3,8 @@
 Subcommands: analyze (endomorphism file), braid (braid word), verify
 (endomorphism file + word), selftest (randomized invariant batch).
 
-Exit codes: 0 analysis completed, 2 input error (a WordError, which
+Exit codes: 0 analysis completed, 1 stdout closed by its reader before
+the report was written (no message), 2 input error (a WordError, which
 only `main` reports), 3 internal invariant violation.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -209,8 +211,7 @@ def cmd_selftest(args):
     # imported here: no other command runs the checks or their samplers
     from . import selfcheck
 
-    failures = selfcheck.run(args.seed, verbose=True)
-    return 0 if failures == 0 else 3
+    return 0 if selfcheck.run(args.seed) == 0 else 3
 
 
 def build_parser():
@@ -274,13 +275,24 @@ def _parse(argv):
 def main(argv=None):
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except WordError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at os.devnull, as the
+        # Python docs' note on SIGPIPE advises, so that the flush at exit
+        # writes nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

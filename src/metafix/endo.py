@@ -14,9 +14,8 @@ MAX_QUOTED = 40
 class Endomorphism:
     """An endomorphism given by its generator images.  Immutable: nothing
     writes `images` after `__init__`, so `apply` keeps a table of the
-    images and their inverses, and the longest image's length, once it
-    has built them, `is_ia` keeps its answer, and `fox.jacobian` and
-    `fox.j_minus_i` keep J and J - I."""
+    images and their inverses once it has built it, `is_ia` keeps its
+    answer, and `fox.jacobian` and `fox.j_minus_i` keep J and J - I."""
 
     __slots__ = ("rank", "images", "_table", "_ia", "_jacobian", "_jmi")
 
@@ -42,37 +41,28 @@ class Endomorphism:
         """Image of a word: substitute generator images, freely reduce.
 
         The running image and each letter's image are freely reduced, so
-        letters cancel only where they join.  Once the running image
-        passes MAX_LETTERS letters, WordError is raised: the letters are
-        substituted in runs short enough that a run cannot pass the
-        limit unnoticed, so an image that stays within it is never
-        rejected."""
-        if self._table is None:
-            table = {}
+        letters cancel only where they join.  The running image is
+        measured after every letter, and WordError is raised as soon as
+        it passes MAX_LETTERS letters, so an image that stays within the
+        limit is never rejected."""
+        table = self._table
+        if table is None:
+            table = self._table = {}
             for i, y in enumerate(self.images, start=1):
                 table[i] = y.letters
                 table[-i] = y.inverse().letters
-            self._table = table, max(1, max(len(y) for y in self.images))
-        table, longest = self._table
-        letters = w.letters
         out = []
-        start = 0
-        while True:
-            room = MAX_LETTERS - len(out)
-            if room < 0:
+        for L in w.letters:
+            img = table[L]
+            if out and img and out[-1] == -img[0]:
+                k = junction(out, img)
+                del out[len(out) - k :]
+                out.extend(img[k:])
+            else:
+                out.extend(img)
+            if len(out) > MAX_LETTERS:
                 raise WordError(f"image of {len(w)} letters exceeds the limit of {MAX_LETTERS}")
-            if start >= len(letters):
-                return Word._raw(self.rank, tuple(out))
-            stop = start + max(1, room // longest)
-            for L in letters[start:stop]:
-                img = table[L]
-                if out and img and out[-1] == -img[0]:
-                    k = junction(out, img)
-                    del out[len(out) - k :]
-                    out.extend(img[k:])
-                else:
-                    out.extend(img)
-            start = stop
+        return Word._raw(self.rank, tuple(out))
 
     def compose(self, other):
         """(self o other)(x) = self(other(x))."""

@@ -313,9 +313,7 @@ def fixed_point_in_coset(phi, a):
     return CosetSolver(phi).solve(a)
 
 
-FixReport = namedtuple(
-    "FixReport", "rank_defect_class witness_in_commutator cosets", defaults=(None, ())
-)
+FixReport = namedtuple("FixReport", "rank_defect_class witness_in_commutator cosets")
 FixReport.__doc__ = """Aggregated search results for one endomorphism:
 its rank-defect class, the commutator-subgroup witness word (or None)
 and the CosetOutcome records, one per coset of the box."""

@@ -40,9 +40,11 @@ tuples.
 Products.  `_sum_products` accumulates a signed sum of products, such as
 a dot product or a 2 x 2 determinant, in one map over packed keys and
 checks the keys that survive once; a single product is its one-pair
-case, and a product by a one-term factor is a shift (`_mul_term`).  A
-one-term divisor c * x^m is a shift too, after checking that c divides
-every coefficient.
+case.  A product by a one-term factor c * x^m, an integer among them,
+is one shift of the keys and a product of every coefficient by c
+(`_mul_term`).  Division by a one-term divisor c * x^m is one shift and
+`v // c` of every coefficient v, after checking, when c is not +-1,
+that c divides every coefficient.
 """
 
 from __future__ import annotations
@@ -124,16 +126,8 @@ def _add(a, b, s=1):
     return out
 
 
-def _scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def _mul_term(a, shift, coeff, n):
-    """Multiply by coeff * x^m, where shift = key(m) - origin."""
-    if not coeff:
-        return {}
+    """Multiply by a nonzero coeff times x^m; shift = key(m) - origin."""
     out = {k + shift: v * coeff for k, v in a.items()}
     _check(out, n)
     return out
@@ -347,8 +341,6 @@ class LaurentPoly:
         return LaurentPoly._raw(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly._raw(self.nvars, _scale(self.terms, other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -523,10 +515,11 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Quotient q with self = q * divisor in the ring, or None.
 
-        A divisor c * x^m is a shift of the exponents and a division of
-        every coefficient by c.  Any other divisor takes one long division
-        of the dividend's own terms under graded lex order (see
-        `_long_division`).  If the quotient exists its leading
+        A divisor c * x^m is one shift of the exponents and `v // c` of
+        every coefficient v, which c must divide: a unit c = +-1 always
+        does, so only another c is tested.  Any other divisor takes one
+        long division of the dividend's own terms under graded lex order
+        (see `_long_division`).  If the quotient exists its leading
         coefficients divide at every step, so the integer division never
         loses solutions; R is a domain, so there is one quotient.
         """
@@ -538,12 +531,10 @@ class LaurentPoly:
         n = self.nvars
         if len(divisor.terms) == 1:
             ((k, c),) = divisor.terms.items()
-            shift = _origin(n) - k
-            if c == 1 or c == -1:
-                return LaurentPoly._raw(n, _mul_term(self.terms, shift, c, n))
             terms = self.terms
-            if any(v % c for v in terms.values()):
+            if c != 1 and c != -1 and any(v % c for v in terms.values()):
                 return None
+            shift = _origin(n) - k
             out = {key + shift: v // c for key, v in terms.items()}
             _check(out, n)
             return LaurentPoly._raw(n, out)

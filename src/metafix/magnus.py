@@ -91,11 +91,6 @@ def is_trivial(w):
     return not any(word_coords(w))
 
 
-def is_module_vector(u):
-    """Does the coordinate vector satisfy sum u_i (x_i - 1) = 0?"""
-    return not membership(u)
-
-
 def coset_letters(exponents):
     """The letters of x1^a1 ... xn^an, which are freely reduced; each
     power is held to the limit of `Word.__pow__`."""
@@ -149,7 +144,7 @@ def koszul_decompose(u):
     nvars = u[0].nvars if u else 0
     if n != nvars:
         raise ValueError("coordinate count must equal the number of variables")
-    if not is_module_vector(u):
+    if membership(u):
         raise ValueError("not a module vector: the defining constraint fails")
     cur = list(u)
     out = {}

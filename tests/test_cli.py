@@ -142,6 +142,20 @@ def test_selftest_command(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_reports_a_failing_batch(capsys, monkeypatch):
+    from metafix import selfcheck
+
+    # a predicate that fails on every third case: cases 2, 5, ..., 29
+    failing = ("every third case", lambda rng, k: k % 3 != 2, 30)
+    monkeypatch.setattr(selfcheck, "CHECKS", [failing, *selfcheck.CHECKS[1:]])
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "selftest every third case: FAIL (10/30)"
+    assert len(lines) == len(selfcheck.CHECKS)
+    assert all(line.endswith(": PASS") for line in lines[1:])
+
+
 def test_plain_text_output(capsys):
     code, out, _ = run_cli(capsys, "analyze", data_path("displaced_pair.endo"), "--bound", "1")
     assert code == 0
@@ -204,21 +218,56 @@ def test_braid_powers_past_the_image_limit_exit_2(capsys, word):
     assert err.startswith("error: ") and f"exceeds the limit of {MAX_LETTERS}" in err
 
 
+def child_env(**extra):
+    """The environment of a child process that imports this checkout's
+    metafix."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_import_loads_no_dataclasses_and_no_selftest_modules():
     # a fresh process: a command loads only what analyze, braid and
     # verify run
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     unwanted = {"dataclasses", "inspect", "metafix.selfcheck", "metafix.samples"}
     probe = f"import sys, metafix.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "unbuffered", [pytest.param("", id="buffered"), pytest.param("1", id="unbuffered")]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", data_path("infinite_fix.endo"), "--bound", "1", "--json"),
+        ("braid", "3", "A[1,2]"),
+        ("verify", data_path("infinite_fix.endo"), "x2"),
+    ],
+)
+def test_closed_stdout_exits_1_without_a_message(argv, unbuffered):
+    # stdout's read end is closed before the child starts, so its first
+    # write fails, or with buffered stdout the flush of its report
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "metafix.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_negative_bound_is_rejected(capsys):

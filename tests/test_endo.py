@@ -62,6 +62,12 @@ def test_image_past_the_letter_limit_is_rejected():
     with pytest.raises(WordError, match=str(MAX_LETTERS)):
         phi.apply(parse_word("x1^1024", 2))
     assert len(phi.apply(parse_word("x1^511", 2))) == 511 * 2049 <= MAX_LETTERS
+    # x1 -> x1^1024: x1^1024 maps to exactly 2^20 letters, which the limit
+    # allows, and one letter more is rejected
+    phi = parse_endomorphism("x1 -> x1^1024\nx2 -> x2\n")
+    assert len(phi.apply(parse_word("x1^1024", 2))) == 1 << 20 == MAX_LETTERS
+    with pytest.raises(WordError, match=str(MAX_LETTERS)):
+        phi.apply(parse_word("x1^1024 x2", 2))
 
 
 def test_verify_rejects_an_image_past_the_letter_limit(tmp_path, capsys):

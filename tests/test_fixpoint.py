@@ -22,12 +22,11 @@ from metafix.fixpoint import (
     search_fixed,
     width_directions,
 )
-from metafix.fox import jacobian, word_coords
+from metafix.fox import jacobian, membership, word_coords
 from metafix.laurent import LaurentPoly, word_pass_mod
 from metafix.magnus import (
     MagnusElement,
     coset_word,
-    is_module_vector,
     is_trivial,
     module_power_word,
     realize_coords,
@@ -766,7 +765,7 @@ def test_commutator_detector_matches_the_adjacent_commutator_system():
             continue
         found += 1
         assert not is_trivial(w) and is_fixed(phi, w)
-        assert is_module_vector(word_coords(w))
+        assert not membership(word_coords(w))
     assert 50 < found < len(phis) - 50, found
 
 
@@ -784,7 +783,7 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
             continue
         combined += 1
         u = commutator_fixed_coords(basis, fs)
-        assert is_module_vector(u) and any(u)
+        assert not membership(u) and any(u)
         assert all(p.is_zero() for p in jmi.vec_mul(u))
         w = fixed_point_in_commutator(phi)
         assert word_coords(w) == u and is_fixed(phi, w)

@@ -44,6 +44,18 @@ def test_mul_examples():
     assert P("x2 + x1 - 2") * LaurentPoly.zero(2) == 0
 
 
+def test_integer_products_are_products_by_constants():
+    rng = random.Random(12)
+    for _ in range(50):
+        n = rng.randrange(1, 4)
+        p = random_poly(rng, n)
+        for c in (0, 1, -1, 3):
+            assert p * c == c * p == p * LaurentPoly.constant(c, n)
+            want = {m: v * c for m, v in p.exponent_terms().items() if c}
+            assert (p * c).exponent_terms() == want
+        assert (p * 0).is_zero()
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         P("x1", 2) + parse_poly("x1", 3)
