@@ -24,6 +24,15 @@ with the fixed column and drops the resulting trailing (0,...,0,1) row and
 column; all divisions involved are exact for braid automorphisms and any
 failure aborts loudly as a convention bug.
 
+The commutator-subgroup answer of a braid automorphism comes from its
+rank.  On rank(J - I) <= n - 2 it is the detector's
+(`fixpoint.fixed_point_in_commutator`).  On rank n - 1 the left kernel of
+J - I is, over the fraction field, the line through the coordinate row c
+of the fixed word x_1...x_n (Fox chain rule), and f(c) = x_1...x_n - 1 is
+nonzero, so no nontrivial fixed point lies in the commutator subgroup and
+no kernel basis is built; c (J - I) = 0 is checked, and a failure aborts
+as a convention bug.
+
 The variables of the matrices are identified with the generators x_1..x_n
 of the Laurent ring (elsewhere often written t_1..t_n).
 """
@@ -36,8 +45,10 @@ from itertools import groupby
 
 from .endo import Endomorphism
 from .errors import InvariantError
-from .fox import jacobian, membership, membership_row
+from .fixpoint import fixed_point_in_commutator
+from .fox import j_minus_i, jacobian, membership, membership_row, word_coords
 from .laurent import LaurentPoly
+from .magnus import coset_word
 from .matrices import LaurentMatrix
 from .words import Word, WordError, check_size, parse_digits
 
@@ -222,3 +233,26 @@ def alexander_vanishes(b):
     reduced = gassner_reduced(b)
     n1 = reduced.rows
     return (reduced - LaurentMatrix.identity(n1, reduced.nvars)).det().is_zero()
+
+
+@lru_cache(maxsize=16)
+def fixed_word_coords(n):
+    """The coordinate row c = (1, x_1, x_1 x_2, ..., x_1...x_{n-1}) of
+    x_1...x_n, which every braid automorphism fixes, built once per n."""
+    return tuple(word_coords(coset_word((1,) * n, n)))
+
+
+def commutator_witness(phi):
+    """A verified nontrivial fixed point of the braid automorphism phi in
+    the commutator subgroup, or None when there is none.
+
+    On rank(J - I) <= n - 2 this is `fixed_point_in_commutator`.  On rank
+    n - 1 the answer is None from the fixed word x_1...x_n alone (see the
+    module docstring), once c (J - I) = 0 is checked."""
+    n = phi.rank
+    jmi = j_minus_i(phi)
+    if jmi.rank() <= n - 2:
+        return fixed_point_in_commutator(phi)
+    if any(jmi.vec_mul(fixed_word_coords(n))):
+        raise GassnerConventionError("the coordinates of x_1...x_n are not fixed by J")
+    return None

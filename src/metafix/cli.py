@@ -3,9 +3,10 @@
 Subcommands: analyze (endomorphism file), braid (braid word), verify
 (endomorphism file + word), selftest (randomized invariant batch).
 
-Exit codes: 0 analysis completed, 1 stdout closed by its reader before
-the report was written (no message), 2 input error (a WordError, which
-only `main` reports), 3 internal invariant violation.
+Exit codes: 0 analysis completed (or help printed), 1 stdout closed by
+its reader before the report or help was written (no message), 2 input
+error (a WordError, which only `main` reports, or a usage error), 3
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -16,10 +17,16 @@ import os
 import sys
 import time
 
-from .braid import braid_automorphism, gassner, gassner_reduced, parse_braid
+from .braid import (
+    braid_automorphism,
+    commutator_witness,
+    gassner,
+    gassner_reduced,
+    parse_braid,
+)
 from .endo import parse_endomorphism
 from .errors import InvariantError
-from .fixpoint import fixed_point_in_commutator, search_fixed
+from .fixpoint import search_fixed
 from .fox import j_minus_i, jacobian
 from .laurent import poly_to_text
 from .magnus import MagnusElement, is_trivial
@@ -160,7 +167,7 @@ def cmd_braid(args):
         (reduced - LaurentMatrix.identity(n - 1, reduced.nvars)).det().is_zero()
     )
     rank = jmi.rank()
-    witness = fixed_point_in_commutator(phi)
+    witness = commutator_witness(phi)
     findings = []
     if vanishes != (rank <= n - 2):
         findings.append("alexander vanishing disagrees with the rank-defect class")
@@ -214,9 +221,21 @@ def cmd_selftest(args):
     return 0 if selfcheck.run(args.seed) == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own help write drops an OSError and leaves the text in
+    stdout's buffer for the flush at exit; this one writes and flushes,
+    so a closed stdout raises BrokenPipeError inside `main`.  The
+    subcommand parsers are of the same class."""
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser():
     """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metafix",
         description=(
             "Exact fixed-point analysis for IA-endomorphisms of free "
@@ -273,8 +292,8 @@ def _parse(argv):
 
 
 def main(argv=None):
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         # a reader that closed stdout shows here, not in the flush at exit
         sys.stdout.flush()

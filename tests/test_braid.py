@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from metafix.braid import (
     alexander_vanishes,
     braid_automorphism,
     braid_to_text,
+    commutator_witness,
     gassner,
     gassner_reduced,
     parse_braid,
@@ -16,7 +18,7 @@ from metafix.braid import (
 )
 from metafix.endo import Endomorphism, parse_endomorphism
 from metafix.fixpoint import fixed_point_in_commutator, is_fixed
-from metafix.fox import jacobian
+from metafix.fox import j_minus_i, jacobian
 from metafix.laurent import parse_poly
 from metafix.matrices import LaurentMatrix
 from metafix.words import MAX_LETTERS, Word, WordError, word_to_text
@@ -287,3 +289,31 @@ def test_bridge_on_four_strands():
             count_vanishing += 1
             assert witness is not None and is_fixed(phi, witness), b
     assert 0 < count_vanishing < len(braids)
+
+
+def test_commutator_witness_agrees_with_the_detector():
+    # every word of length <= 3 on three strands, and random words on four
+    # and five: a witness exists exactly when the detector finds one, and
+    # exactly on rank(J - I) <= n - 2; on rank n - 1 the answer comes from
+    # the fixed word x1...xn, and no kernel basis is built
+    words = [
+        BraidWord(3, letters)
+        for length in range(4)
+        for letters in itertools.product(signed_generators(3), repeat=length)
+    ]
+    rng = random.Random(64)
+    words += [random_braid(rng, 4, 6) for _ in range(30)]
+    words += [random_braid(rng, 5, 7) for _ in range(16)]
+    split = collections.Counter()
+    for b in words:
+        phi = braid_automorphism(b)
+        witness = commutator_witness(phi)
+        jmi = j_minus_i(phi)
+        top = jmi.rank() == b.strands - 1
+        split[b.strands, top] += 1
+        assert (witness is None) == top, b
+        if top:
+            assert jmi._basis is None, b
+        assert (fixed_point_in_commutator(phi) is None) == top, b
+    assert (split[3, True], split[3, False]) == (144, 115)
+    assert all(split[n, True] and split[n, False] for n in (4, 5)), split

@@ -6,13 +6,13 @@ import sys
 
 import pytest
 
-from metafix import cli, fox
+from metafix import braid, cli, fox
 from metafix.braid import GassnerConventionError
 from metafix.cli import main
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly
 from metafix.matrices import ExactDivisionError
-from metafix.words import MAX_LETTERS, word_to_text
+from metafix.words import MAX_LETTERS, Word, word_to_text
 from tests.conftest import data_path
 
 
@@ -250,6 +250,8 @@ def test_import_loads_no_dataclasses_and_no_selftest_modules():
         ("analyze", data_path("infinite_fix.endo"), "--bound", "1", "--json"),
         ("braid", "3", "A[1,2]"),
         ("verify", data_path("infinite_fix.endo"), "x2"),
+        ("--help",),
+        ("analyze", "--help"),
     ],
 )
 def test_closed_stdout_exits_1_without_a_message(argv, unbuffered):
@@ -291,6 +293,17 @@ def test_invariant_errors_exit_3(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "search_fixed", fail)
     code, _, err = run_cli(capsys, "analyze", data_path("infinite_fix.endo"))
     assert code == 3 and "internal invariant violation" in err
+
+
+def test_unfixed_product_word_exits_3(monkeypatch, capsys):
+    # on rank n - 1 the braid command reads its commutator answer off the
+    # coordinates of x1 x2 x3; coordinates that J - I does not annihilate
+    # (those of x1, which A[1,2] A[2,3] moves) abort as a convention bug
+    assert run_json(capsys, "braid", "3", "A[1,2] A[2,3]", "--json")["rank_JmI"] == 2
+    monkeypatch.setattr(braid, "fixed_word_coords", lambda n: fox.word_coords(Word.generator(0, n)))
+    code, out, err = run_cli(capsys, "braid", "3", "A[1,2] A[2,3]")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant violation: ") and err.count("\n") == 1
 
 
 def test_failing_exact_division_exits_3(monkeypatch, capsys):
