@@ -12,11 +12,10 @@ from .endo import Endomorphism, inner_automorphism, parse_endomorphism
 from .fixpoint import (
     FixReport,
     fixed_point_in_commutator,
-    fixed_point_in_coset,
     is_fixed,
     search_fixed,
 )
-from .fox import fox_derivative, j_minus_i, jacobian
+from .fox import j_minus_i, jacobian
 from .laurent import LaurentPoly, parse_poly, poly_to_text
 from .magnus import MagnusElement, is_trivial, realize_coords
 from .matrices import LaurentMatrix, cramer_solve
@@ -35,8 +34,6 @@ __all__ = [
     "braid_automorphism",
     "cramer_solve",
     "fixed_point_in_commutator",
-    "fixed_point_in_coset",
-    "fox_derivative",
     "gassner",
     "gassner_reduced",
     "inner_automorphism",

@@ -22,7 +22,10 @@ conjugate of its generator, the column vector
 x_1...x_n is fixed.  The reduced matrix conjugates by the basis that ends
 with the fixed column and drops the resulting trailing (0,...,0,1) row and
 column; all divisions involved are exact for braid automorphisms and any
-failure aborts loudly as a convention bug.
+failure aborts loudly as a convention bug.  Alexander vanishing is
+det(reduced - identity) = 0.  Each stage takes the previous stage's
+output: `braid_automorphism(b)`, `gassner(phi)`,
+`gassner_reduced(unreduced)`, `alexander_vanishes(reduced)`.
 
 The commutator-subgroup answer of a braid automorphism comes from its
 rank.  On rank(J - I) <= n - 2 it is the detector's
@@ -180,17 +183,13 @@ def braid_automorphism(b):
     return phi
 
 
-def gassner(b):
-    """Unreduced matrix of the braid: the Jacobian of its automorphism.
-
-    Accepts the braid word or its automorphism, when already built.
-    """
-    return jacobian(braid_automorphism(b) if isinstance(b, BraidWord) else b)
+def gassner(phi):
+    """Unreduced matrix of the braid automorphism phi: its Jacobian."""
+    return jacobian(phi)
 
 
-def gassner_reduced(b):
-    """Reduced (n-1) x (n-1) matrix of a braid word, its automorphism or
-    its unreduced matrix.
+def gassner_reduced(unreduced):
+    """Reduced (n-1) x (n-1) matrix of a braid, from its unreduced matrix.
 
     Conjugates the unreduced matrix into the basis whose last vector is the
     fixed column (x_1 - 1, ..., x_n - 1), checks that the last column
@@ -198,7 +197,6 @@ def gassner_reduced(b):
     (i, j) is entries[i][j] - (x_{i+1} - 1) q_j, with q_j the exact quotient
     of the last row's entry j by x_n - 1, formed as one fused sum.
     """
-    unreduced = b if isinstance(b, LaurentMatrix) else gassner(b)
     n = unreduced.rows
     xi = membership_row(n)
     if [membership(row) for row in unreduced.entries] != list(xi):
@@ -225,14 +223,10 @@ def gassner_reduced(b):
     return LaurentMatrix(nvars, out)
 
 
-def alexander_vanishes(b):
-    """Does the Alexander polynomial of the braid closure vanish?
-
-    Equivalent to det(reduced matrix - identity) = 0.
-    """
-    reduced = gassner_reduced(b)
-    n1 = reduced.rows
-    return (reduced - LaurentMatrix.identity(n1, reduced.nvars)).det().is_zero()
+def alexander_vanishes(reduced):
+    """Does the Alexander polynomial of the braid closure vanish?  Read
+    off the reduced matrix: det(reduced - identity) = 0."""
+    return (reduced - LaurentMatrix.identity(reduced.rows, reduced.nvars)).det().is_zero()
 
 
 @lru_cache(maxsize=16)

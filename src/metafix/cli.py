@@ -18,6 +18,7 @@ import sys
 import time
 
 from .braid import (
+    alexander_vanishes,
     braid_automorphism,
     commutator_witness,
     gassner,
@@ -30,7 +31,6 @@ from .fixpoint import search_fixed
 from .fox import j_minus_i, jacobian
 from .laurent import poly_to_text
 from .magnus import MagnusElement, is_trivial
-from .matrices import LaurentMatrix
 from .words import WordError, parse_digits, parse_word, word_to_text
 
 
@@ -163,9 +163,7 @@ def cmd_braid(args):
     unreduced = gassner(phi)
     reduced = gassner_reduced(unreduced)
     jmi = j_minus_i(phi)
-    vanishes = (
-        (reduced - LaurentMatrix.identity(n - 1, reduced.nvars)).det().is_zero()
-    )
+    vanishes = alexander_vanishes(reduced)
     rank = jmi.rank()
     witness = commutator_witness(phi)
     findings = []

@@ -179,8 +179,7 @@ class CosetSolver:
     the module docstring) from the left kernel basis of J - I and its
     values f: the kernel vector k, f = k . (x - 1) and the width gaps of
     f over k on "unique", the square block of J - I (the moved rows on
-    the pivot columns, whose determinant the first Cramer solve keeps)
-    on "decoupled", whether the ideal is zero on
+    the pivot columns) on "decoupled", whether the ideal is zero on
     "rank_deficient", and on the last two, unless the ideal is zero,
     J - I at the screen point.
     A "unique" query whose |w . a| lies below a gap is "none" by
@@ -306,11 +305,6 @@ class CosetSolver:
         if not is_fixed(self.phi, g):
             raise InternalCheckError("coset witness failed the oracle check")
         return CosetOutcome(a, "found", g)
-
-
-def fixed_point_in_coset(phi, a):
-    """Search the coset with abelian vector a (nonzero) for a fixed point."""
-    return CosetSolver(phi).solve(a)
 
 
 FixReport = namedtuple("FixReport", "rank_defect_class witness_in_commutator cosets")

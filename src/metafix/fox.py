@@ -58,13 +58,6 @@ def word_coords(w, abelian=False):
     return word_pass(w.letters, w.rank, abelian)
 
 
-def fox_derivative(w, i):
-    """The i-th abelianized derivative (0-based variable index)."""
-    if not 0 <= i < w.rank:
-        raise ValueError(f"derivative index {i} out of range")
-    return word_coords(w)[i]
-
-
 def jacobian(phi):
     """Matrix whose row i holds the derivatives of the i-th image word,
     built on first use and kept on phi."""

@@ -11,9 +11,9 @@ which is faster there, unless a memoized elimination has already shown
 the matrix singular.  Vectors are rows, the form in which the
 fixed-point conditions come: kernels are row vectors k with k M = 0, so
 the same elimination gives the left kernel basis too, and `cramer_solve`
-solves x M = b.  The kernel vectors and Cramer's numerators are all
-built from one helper of signed maximal minors, which expands minors up
-to 4 x 4 by cofactors directly.
+solves x M = b.  The kernel vectors and Cramer's numerators and
+determinant are all built from one helper of signed maximal minors,
+which expands minors up to 4 x 4 by cofactors directly.
 
 The inner sums are each one call of `LaurentPoly.sum_products`, with no
 intermediate polynomial: the Bareiss update a_kk a_ij - a_ik a_kj, each
@@ -314,18 +314,18 @@ def cramer_solve(m, b):
     The signed maximal minors c of the rows of m and b satisfy
     sum_i c_i m_i + c_r b = 0 with c_r = det m, so x_i = c_i / -det m:
     -c_i is det(m with row i replaced by b).  The singular test reads
-    the determinant kept on m.
+    det m off that last minor, so no separate determinant is taken.
     """
     if m.rows != m.cols:
         raise ValueError("Cramer's rule needs a square matrix")
     if len(b) != m.cols:
         raise ValueError("right-hand side length mismatch")
-    d = m.det()
+    *numerators, d = _signed_minors(m.entries + [b], m.nvars)
     if d.is_zero():
         return CramerResult("singular")
     minus_d = -d
     sol = []
-    for c in _signed_minors(m.entries + [b], m.nvars)[:-1]:
+    for c in numerators:
         q = c.divide_exact(minus_d)
         if q is None:
             return CramerResult("no_solution_in_ring")

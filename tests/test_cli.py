@@ -117,6 +117,19 @@ def test_braid_command(capsys):
     assert code == 2 and "error" in err
 
 
+def test_braid_report_follows_alexander_vanishes(monkeypatch, capsys):
+    # the report's Alexander answer, its bridge verdict and its findings
+    # all come from `braid.alexander_vanishes`: negated, they all flip
+    monkeypatch.setattr(cli, "alexander_vanishes", lambda reduced: not braid.alexander_vanishes(reduced))
+    disagreement = "alexander vanishing disagrees with the rank-defect class"
+    for strands, word, vanishes in (("3", "1", True), ("2", "A[1,2]", False)):
+        rep = run_json(capsys, "braid", strands, word, "--json")["braid"]
+        assert rep["alexander_vanishes"] is not vanishes
+        assert (rep["commutator_witness"] is not None) is vanishes
+        assert rep["bridge_consistent"] is False
+        assert disagreement in rep["findings"]
+
+
 def test_main_repeats_after_a_usage_error(capsys):
     # one parser serves every call in a process, so a usage error must
     # leave nothing behind for the calls after it

@@ -14,7 +14,6 @@ from metafix.fixpoint import (
     commutator_fixed_coords,
     coset_box,
     fixed_point_in_commutator,
-    fixed_point_in_coset,
     is_fixed,
     left_kernel,
     rank_defect_class,
@@ -227,30 +226,33 @@ def test_detected_witnesses_on_rank_deficient_instances():
 
 def test_coset_examples(displaced_pair, infinite_fix):
     g0 = parse_word("x1 x2", 2)
-    out = fixed_point_in_coset(inner_automorphism(g0), (1, 1))
+    out = CosetSolver(inner_automorphism(g0)).solve((1, 1))
     assert out.status == "found" and out.witness == g0
 
     # w_a = x1 x2 is not fixed here, so the witness comes from the solver
     g1 = parse_word("x2 x1", 2)
     conj = inner_automorphism(g1)
     assert not is_fixed(conj, parse_word("x1 x2", 2))
-    out1 = fixed_point_in_coset(conj, (1, 1))
+    solver = CosetSolver(conj)
+    assert solver.mode == "unique"
+    out1 = solver.solve((1, 1))
     assert out1.status == "found" and out1.witness == g1
-    assert CosetSolver(conj).mode == "unique"
 
+    solver = CosetSolver(displaced_pair)
     for a in coset_box(2, 2):
-        assert fixed_point_in_coset(displaced_pair, a).status == "none"
+        assert solver.solve(a).status == "none"
 
+    solver = CosetSolver(infinite_fix)
     for k in (1, 2, 3, -1, -2, -3):
-        assert fixed_point_in_coset(infinite_fix, (k, 0, 0)).status == "none"
+        assert solver.solve((k, 0, 0)).status == "none"
 
-    out2 = fixed_point_in_coset(infinite_fix, (0, 1, 0))
+    out2 = solver.solve((0, 1, 0))
     assert out2.status == "found" and out2.witness == parse_word("x2", 3)
 
 
 def test_coset_rejects_zero_vector(infinite_fix):
     with pytest.raises(ValueError):
-        fixed_point_in_coset(infinite_fix, (0, 0, 0))
+        CosetSolver(infinite_fix).solve((0, 0, 0))
 
 
 def test_search_identity_finds_everything():

@@ -239,9 +239,10 @@ def random_low_rank(rng, rows, cols, rank, n):
     return random_matrix(rng, rows, rank, n, terms=1) * random_matrix(rng, rank, cols, n)
 
 
-def test_cramer_matches_column_replacement():
+def column_replacement_systems():
+    """90 seeded systems (m, b) up to 4 x 4 in 1 to 3 variables: a third
+    solvable by construction, a third of rank below their size."""
     rng = random.Random(47)
-    seen = {"solution": 0, "no_solution_in_ring": 0, "singular": 0}
     for trial in range(90):
         n = rng.randrange(1, 4)
         size = rng.randrange(1, 5)
@@ -254,12 +255,37 @@ def test_cramer_matches_column_replacement():
             b = m.vec_mul([random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(size)])
         else:
             b = [random_poly(rng, n, terms=2, span=1, coeff=2) for _ in range(size)]
+        yield m, b
+
+
+def test_cramer_matches_column_replacement():
+    seen = {"solution": 0, "no_solution_in_ring": 0, "singular": 0}
+    for m, b in column_replacement_systems():
         status, sol = cramer_reference(m, b)
         res = cramer_solve(m, b)
         assert res.status == status
         assert res.solution == sol
         seen[status] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_cramer_takes_det_from_its_own_minors(monkeypatch):
+    # det m is the last of Cramer's signed minors, so no separate
+    # determinant is taken: with `det` raising, every answer still
+    # matches the column-replacement reference
+    systems = list(column_replacement_systems())
+    systems += [
+        (LaurentMatrix(1, [[parse_poly("x1", 1)]]), [parse_poly("x1^2", 1)]),
+        (LaurentMatrix(2, [[P("x2 + x1 - 2")]]), [P("x2 - 1")]),
+        (LaurentMatrix(1, [[LaurentPoly.zero(1)]]), [parse_poly("x1", 1)]),
+    ]
+
+    def no_det(self):
+        raise AssertionError("cramer_solve took a separate determinant")
+
+    monkeypatch.setattr(LaurentMatrix, "det", no_det)
+    for m, b in systems:
+        assert cramer_solve(m, b) == cramer_reference(m, b)
 
 
 def test_matrix_product_and_vector_helpers():

@@ -20,10 +20,17 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from metafix.braid import (  # noqa: E402
+    alexander_vanishes,
+    braid_automorphism,
+    gassner,
+    gassner_reduced,
+)
 from metafix.laurent import LaurentPoly  # noqa: E402
 from metafix.matrices import LaurentMatrix, cramer_solve  # noqa: E402
+from tests.test_braid import random_braid  # noqa: E402
 
-GENS = sympy.symbols("x1:5")
+GENS = sympy.symbols("x1:6")
 
 
 def ring(n):
@@ -214,3 +221,20 @@ def test_cramer_solve_matches_sympy(n):
         else:
             assert res.status == "no_solution_in_ring", (m.entries, b)
     assert min(seen.values()) >= 8, seen
+
+
+@pytest.mark.parametrize("strands", [4, 5])
+def test_alexander_vanishing_matches_sympy(strands):
+    # the bridge's verdict on a 3 x 3 or 4 x 4 reduced matrix, whose
+    # determinant `det` expands by cofactors, against sympy's determinant
+    # of reduced - I; the 3-strand tests only compare it with the rank
+    rng = random.Random(110 + strands)
+    seen = set()
+    for _ in range(20):
+        b = random_braid(rng, strands, 6)
+        reduced = gassner_reduced(gassner(braid_automorphism(b)))
+        vanishes = alexander_vanishes(reduced)
+        minus_i = reduced - LaurentMatrix.identity(strands - 1, strands)
+        assert vanishes == (not sympy_det(minus_i)), b
+        seen.add(vanishes)
+    assert seen == {True, False}
