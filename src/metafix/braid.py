@@ -226,7 +226,7 @@ def gassner_reduced(unreduced):
 def alexander_vanishes(reduced):
     """Does the Alexander polynomial of the braid closure vanish?  Read
     off the reduced matrix: det(reduced - identity) = 0."""
-    return (reduced - LaurentMatrix.identity(reduced.rows, reduced.nvars)).det().is_zero()
+    return reduced.minus_identity().det().is_zero()
 
 
 @lru_cache(maxsize=16)

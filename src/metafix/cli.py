@@ -101,8 +101,9 @@ def _read(path):
 # The largest coset box `analyze` accepts; the box of --bound b on n
 # generators holds (2b+1)^n - 1 cosets, each one solved in turn.
 MAX_COSETS = 1 << 16
-# The most strands `braid` accepts; its Jacobian has strands^2 entries and
-# the identity braid already takes seconds at 256 strands.
+# The most strands `braid` accepts, and the most generators `analyze`
+# accepts: the Jacobian has n^2 entries, and the identity braid already
+# takes seconds at 256 strands.
 MAX_STRANDS = 128
 
 
@@ -121,6 +122,8 @@ def cmd_analyze(args):
     bound = _number(args.bound, "--bound")
     phi = parse_endomorphism(_read(args.file))
     n = phi.rank
+    if n > MAX_STRANDS:
+        raise WordError(f"need at most {MAX_STRANDS} generators, got {n}")
     # with a bound >= 1, MAX_COSETS.bit_length() generators already exceed
     # the limit, so n is clipped there and the power stays small
     if (2 * bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:

@@ -71,8 +71,7 @@ def j_minus_i(phi):
     elimination, rank, determinant and left kernel basis serve every
     later caller."""
     if phi._jmi is None:
-        n = phi.rank
-        phi._jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        phi._jmi = jacobian(phi).minus_identity()
     return phi._jmi
 
 

@@ -680,7 +680,6 @@ def parse_poly(text, nvars):
         coeff = sign
         term_at = at
         expts = [0] * nvars
-        saw_factor = False
         while True:
             tok, at = tokens[pos]
             if "0" <= tok[0] <= "9":
@@ -705,15 +704,12 @@ def parse_poly(text, nvars):
             else:
                 # the first character: a token may be a long run of digits
                 fail(f"unexpected token {tok[0]!r}", at)
-            saw_factor = True
             if pos < len(tokens) and tokens[pos][0] == "*":
                 pos += 1
                 if pos >= len(tokens):
                     fail("dangling '*'", at)
                 continue
             break
-        if not saw_factor:
-            fail("empty term", 0)
         if not -_H <= sum(expts) < _H:
             fail(f"degree outside [-{_H}, {_H})", term_at)
         key = tuple(expts)

@@ -13,13 +13,18 @@ fixed-point conditions come: kernels are row vectors k with k M = 0, so
 the same elimination gives the left kernel basis too, and `cramer_solve`
 solves x M = b.  The kernel vectors and Cramer's numerators and
 determinant are all built from one helper of signed maximal minors,
-which expands minors up to 4 x 4 by cofactors directly.
+which expands minors up to 4 x 4 by cofactors directly.  The one
+product is a row vector times a matrix, `vec_mul`; a matrix product is
+one `vec_mul` per row.  The one difference is M - I, the matrix whose
+vanishing rows are the fixed points (J - I) and whose determinant is
+the Alexander test (reduced Gassner - I): `minus_identity` changes the
+diagonal only.
 
 The inner sums are each one call of `LaurentPoly.sum_products`, with no
 intermediate polynomial: the Bareiss update a_kk a_ij - a_ik a_kj, each
-level of the cofactor expansion, and `dot`, which serves the matrix
-products and the kernel-vector check.  The first Bareiss step divides by
-the starting pivot 1, which `laurent` does as a shift.
+level of the cofactor expansion, and `dot`, which serves `vec_mul`.
+The first Bareiss step divides by the starting pivot 1, which `laurent`
+does as a shift.
 """
 
 from __future__ import annotations
@@ -58,12 +63,6 @@ class LaurentMatrix:
                 if not isinstance(e, LaurentPoly) or e.nvars != nvars:
                     raise ValueError("entry from the wrong ring")
 
-    @classmethod
-    def identity(cls, n, nvars):
-        z = LaurentPoly.zero(nvars)
-        one = LaurentPoly.one(nvars)
-        return cls(nvars, [[one if i == j else z for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -73,30 +72,24 @@ class LaurentMatrix:
             and self.entries == other.entries
         )
 
-    def __sub__(self, other):
-        self._same_shape(other)
+    def minus_identity(self):
+        """M - I for a square M: a fresh matrix whose diagonal entries are
+        M_ii - 1 and whose other entries are M's own (immutable)
+        polynomials."""
+        if self.rows != self.cols:
+            raise ValueError("M - I of a non-square matrix")
         return LaurentMatrix(
             self.nvars,
             [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
+                [e - 1 if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(self.entries)
             ],
         )
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __mul__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        cols = [[row[j] for row in other.entries] for j in range(other.cols)]
-        return LaurentMatrix(
-            self.nvars,
-            [[dot(row, col, self.nvars) for col in cols] for row in self.entries],
-        )
+        return LaurentMatrix(self.nvars, [other.vec_mul(row) for row in self.entries])
 
     def vec_mul(self, vec):
         """Row vector times matrix."""

@@ -61,7 +61,7 @@ def random_ia(rng, n, factors=1, conj_len=2, pairs=None, skip_chance=0.0):
     return Endomorphism(images)
 
 
-def random_rank_deficient_ia(rng, n, factors=2, conj_len=2):
+def random_rank_deficient_ia(rng, n):
     """IA endomorphism whose displacements span at most n-2 directions.
 
     Every displacement is built from a fixed proper subset of at most n-2
@@ -70,17 +70,17 @@ def random_rank_deficient_ia(rng, n, factors=2, conj_len=2):
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     rng.shuffle(all_pairs)
     pairs = all_pairs[: max(1, n - 2)]
-    return random_ia(rng, n, factors=factors, conj_len=conj_len, pairs=pairs, skip_chance=0.3)
+    return random_ia(rng, n, factors=2, pairs=pairs, skip_chance=0.3)
 
 
-def random_module_vector(rng, n, entries=2, span=1, coeff=2):
+def random_module_vector(rng, n, entries=2):
     """A random combination of the elementary relation vectors."""
     row = membership_row(n)
     u = [LaurentPoly.zero(n) for _ in range(n)]
     for _ in range(entries):
         i = rng.randrange(n - 1)
         j = rng.randrange(i + 1, n)
-        c = random_poly(rng, n, terms=2, span=span, coeff=coeff)
+        c = random_poly(rng, n, terms=2, span=1, coeff=2)
         u[i] = u[i] + c * row[j]
         u[j] = u[j] - c * row[i]
     return u

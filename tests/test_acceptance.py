@@ -24,7 +24,6 @@ from metafix.fixpoint import (
 )
 from metafix.fox import jacobian, membership, product_rule_holds, word_coords
 from metafix.magnus import MagnusElement, is_trivial, realize_coords
-from metafix.matrices import LaurentMatrix
 from metafix.samples import (
     random_ia,
     random_module_vector,
@@ -83,7 +82,7 @@ def test_criterion_1_determinant_vanishes():
         n = (2, 3, 4)[trial % 3]
         phi = _bounded_random_ia(rng, n)
         assert all(len(y) <= 16 for y in phi.images)
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         assert jmi.det().is_zero()
 
 
@@ -96,7 +95,7 @@ def displaced_pair_endo(s_text):
 def test_criterion_2_displaced_pair():
     for s_text in ("[x1,x2]", "x1 [x1,x2] x1^-1", "[x1,x2]^2"):
         phi = displaced_pair_endo(s_text)
-        jmi = jacobian(phi) - LaurentMatrix.identity(2, 2)
+        jmi = jacobian(phi).minus_identity()
         assert jmi.rank() == 1
         report = search_fixed(phi, 3)
         assert report.witness_in_commutator is None
@@ -114,7 +113,7 @@ def _rank_deficient_witnesses():
     for trial in range(50):
         n = (3, 4)[trial % 2]
         phi = random_rank_deficient_ia(rng, n)
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         assert jmi.rank() <= n - 2
         w = fixed_point_in_commutator(phi)
         assert w is not None
@@ -209,7 +208,7 @@ def test_criterion_7_braid_bridge():
         b = BraidWord(n, letters)
         phi = braid_automorphism(b)
         unreduced = gassner(phi)
-        jmi = unreduced - LaurentMatrix.identity(n, n)
+        jmi = unreduced.minus_identity()
         vanishes = alexander_vanishes(gassner_reduced(unreduced))
         assert vanishes == (jmi.rank() <= n - 2)
         if vanishes:

@@ -215,7 +215,7 @@ def test_a12_automorphism_and_matrices():
         ],
     )
     assert g == expected
-    assert (g - LaurentMatrix.identity(2, 2)).det() == 0
+    assert g.minus_identity().det() == 0
 
     reduced = gassner_reduced(g)
     assert reduced.rows == 1 and reduced.entries[0][0] == parse_poly("x1*x2", 2)
@@ -224,7 +224,8 @@ def test_a12_automorphism_and_matrices():
 
 def test_reduced_shapes():
     reduced = reduced_gassner(BraidWord(3))
-    assert reduced == LaurentMatrix.identity(2, 3)
+    assert reduced.rows == 2
+    assert all(e.is_zero() for row in reduced.minus_identity().entries for e in row)
     assert alexander_vanishes(reduced)
     for (i, j, s) in signed_generators(2):
         assert reduced_gassner(BraidWord(2, [(i, j, s)])).rows == 1
@@ -256,7 +257,7 @@ def test_bridge_on_short_braids():
         b = BraidWord(3, letters)
         phi = braid_automorphism(b)
         unreduced = gassner(phi)
-        jmi = unreduced - LaurentMatrix.identity(3, 3)
+        jmi = unreduced.minus_identity()
         vanishes = alexander_vanishes(gassner_reduced(unreduced))
         assert vanishes == (jmi.rank() <= 1)
         witness = fixed_point_in_commutator(phi)
@@ -279,7 +280,7 @@ def test_bridge_on_four_strands():
     for b in braids:
         phi = braid_automorphism(b)
         unreduced = gassner(phi)
-        jmi = unreduced - LaurentMatrix.identity(4, 4)
+        jmi = unreduced.minus_identity()
         vanishes = alexander_vanishes(gassner_reduced(unreduced))
         assert vanishes == (jmi.rank() <= 2), b
         witness = fixed_point_in_commutator(phi)

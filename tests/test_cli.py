@@ -9,6 +9,7 @@ import pytest
 from metafix import braid, cli, fox
 from metafix.braid import GassnerConventionError
 from metafix.cli import main
+from metafix.endo import Endomorphism
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly
 from metafix.matrices import ExactDivisionError
@@ -221,6 +222,29 @@ def test_hostile_braids_are_rejected_before_building(monkeypatch, capsys):
     for argv in (["3", f"A[1,2]^{MAX_LETTERS}"], [str(cli.MAX_STRANDS), "1"]):
         with pytest.raises(Built):
             main(["braid", *argv])
+
+
+def test_analyze_caps_the_generators_before_the_jacobian(monkeypatch, tmp_path, capsys):
+    def identity_file(n):
+        f = tmp_path / f"identity{n}.endo"
+        f.write_text("".join(f"x{k} -> x{k}\n" for k in range(1, n + 1)))
+        return str(f)
+
+    cap = cli.MAX_STRANDS
+    with monkeypatch.context() as m:
+        def fail(*args, **kwargs):
+            raise AssertionError("analyze worked on too many generators")
+
+        m.setattr(fox, "jacobian", fail)
+        m.setattr(cli, "jacobian", fail)
+        m.setattr(Endomorphism, "is_ia", fail)
+        code, out, err = run_cli(capsys, "analyze", identity_file(cap + 1), "--bound", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: need at most {cap} generators, got {cap + 1}\n"
+    code, out, err = run_cli(capsys, "analyze", identity_file(cap), "--json", "--bound", "0")
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["input"]["rank"] == cap and report["ia"] and report["rank_JmI"] == 0
 
 
 @pytest.mark.parametrize("word", ["A[1,2]^1048576", "A[1,3]^131073"])

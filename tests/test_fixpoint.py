@@ -74,7 +74,7 @@ def fixed_point_system(phi, jmi=None):
         raise ValueError("endomorphism is not IA")
     n = phi.rank
     if jmi is None:
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
     e = jmi.entries
     cols = []
     for k in range(n - 1):
@@ -172,7 +172,7 @@ def test_system_from_jacobian_matches_displacements():
         n = 2 + k % 3
         phi = random_rank_deficient_ia(rng, n) if k % 2 else random_ia(rng, n)
         expected = _system_from_displacements(phi)
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         assert fixed_point_system(phi) == expected
         assert fixed_point_system(phi, jmi) == expected
 
@@ -295,8 +295,7 @@ def test_a_second_search_reuses_the_elimination_of_j_minus_i(monkeypatch):
 
     monkeypatch.setattr(LaurentMatrix, "_elimination", recording)
     for phi in _fixtures():
-        n = phi.rank
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         eliminated.clear()
         first = search_fixed(phi, 1)
         second = search_fixed(phi, 1)
@@ -371,7 +370,7 @@ class ReferenceCosetSolver:
     def __init__(self, phi):
         n = self.n = phi.rank
         self.phi = phi
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         self.G = transposed(jmi)
         self.membership = [LaurentPoly.variable(i, n) - 1 for i in range(n)]
         self.stacked = LaurentMatrix(n, self.G.entries + [self.membership])
@@ -635,7 +634,7 @@ def test_evaluated_fox_pass_is_the_exact_pass_at_the_point_and_keeps_the_chain_r
             want = [at_point(c, point) for c in word_coords(word)]
             assert word_pass_mod(word.letters, point, SCREEN_PRIME) == want
         # coords(phi(w) w^-1) = coords(w) (J - I), read at the point
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         jmi_at = [[at_point(e, point) for e in row] for row in jmi.entries]
         c = word_pass_mod(w.letters, point, SCREEN_PRIME)
         moved = [sum(ci * row[j] for ci, row in zip(c, jmi_at)) % SCREEN_PRIME for j in range(n)]
@@ -778,8 +777,7 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
     combined = 0
     for k in range(30):
         phi = random_rank_deficient_ia(rng, 3 + k % 2)
-        n = phi.rank
-        jmi = jacobian(phi) - LaurentMatrix.identity(n, n)
+        jmi = jacobian(phi).minus_identity()
         basis, fs = left_kernel(jmi)
         if len(basis) < 2 or not all(fs):
             continue

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from metafix.endo import Endomorphism
 from metafix.fox import jacobian
 from metafix.laurent import LaurentPoly, parse_poly
 from metafix.matrices import LaurentMatrix, _det_cofactor, cramer_solve, normalize_vector
@@ -32,8 +33,7 @@ def random_matrix(rng, rows, cols, n, terms=2):
 
 def test_det_examples():
     n = 3
-    i3 = LaurentMatrix.identity(n, n)
-    assert (i3 - i3).det() == 0
+    assert jacobian(Endomorphism.identity(n)).minus_identity().det() == 0
     m = LaurentMatrix(2, [[P("x1"), P("1")], [P("1"), P("x1^-1")]])
     assert m.det() == 0
 
@@ -43,13 +43,30 @@ def test_det_of_ia_difference():
     for _ in range(10):
         nn = rng.randrange(2, 5)
         phi = random_ia(rng, nn)
-        jmi = jacobian(phi) - LaurentMatrix.identity(nn, nn)
+        jmi = jacobian(phi).minus_identity()
         assert jmi.det().is_zero()
 
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
         zeros(2, 3, 1).det()
+
+
+def test_minus_identity_changes_the_diagonal_only():
+    rng = random.Random(47)
+    for size in range(1, 5):
+        m = random_matrix(rng, size, size, 2)
+        m.rank()  # m's memoized elimination must not carry over
+        mi = m.minus_identity()
+        assert mi is not m and mi._pivots is None
+        for i in range(size):
+            for j in range(size):
+                if i == j:
+                    assert mi.entries[i][j] == m.entries[i][j] - 1
+                else:
+                    assert mi.entries[i][j] is m.entries[i][j]
+    with pytest.raises(ValueError):
+        zeros(2, 3, 1).minus_identity()
 
 
 def test_det_matches_cofactor_on_larger_matrices():
@@ -88,9 +105,9 @@ def test_det_matches_cofactor_on_larger_matrices():
 
 def test_rank_examples(displaced_pair, infinite_fix):
     assert zeros(3, 2, 2).rank() == 0
-    jmi = jacobian(displaced_pair) - LaurentMatrix.identity(2, 2)
+    jmi = jacobian(displaced_pair).minus_identity()
     assert jmi.rank() == 1
-    jmi3 = jacobian(infinite_fix) - LaurentMatrix.identity(3, 3)
+    jmi3 = jacobian(infinite_fix).minus_identity()
     assert jmi3.rank() == 1
 
 
@@ -193,7 +210,7 @@ def test_cramer_shape_mismatch():
     with pytest.raises(ValueError):
         cramer_solve(zeros(2, 3, 1), [LaurentPoly.zero(1)] * 2)
     with pytest.raises(ValueError):
-        cramer_solve(LaurentMatrix.identity(2, 1), [LaurentPoly.zero(1)])
+        cramer_solve(zeros(2, 2, 1), [LaurentPoly.zero(1)])
 
 
 def test_cramer_solution_verifies():
@@ -295,6 +312,19 @@ def test_matrix_product_and_vector_helpers():
     assert prod.entries[0][0] == parse_poly("x1^2 - x1 + 2", 1)
     v = a.vec_mul([parse_poly("x1", 1)])
     assert v == [parse_poly("x1^2", 1), parse_poly("x1", 1)]
+    with pytest.raises(ValueError):
+        a * a
+    # each entry of a random product against its sum of entry products
+    rng = random.Random(48)
+    for rows, inner, cols in ((2, 3, 1), (3, 2, 4), (3, 3, 3)):
+        a = random_matrix(rng, rows, inner, 2)
+        b = random_matrix(rng, inner, cols, 2)
+        prod = a * b
+        assert (prod.rows, prod.cols) == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                terms = (a.entries[i][k] * b.entries[k][j] for k in range(inner))
+                assert prod.entries[i][j] == sum(terms, LaurentPoly.zero(2))
 
 
 def ref_normalize_vector(z):

@@ -1,6 +1,7 @@
 """The exact arithmetic against sympy, an independent implementation of
 polynomial division, determinants, rank and linear solving over
-Z[x_1, ..., x_n].
+Z[x_1, ..., x_n], and the coset answers against module membership over
+Q[x_1^+-1, ..., x_n^+-1].
 
 A nonzero Laurent polynomial p is x^m P, where m holds the least exponent
 of each variable and P is a polynomial that no x_i divides.  Monomials
@@ -26,8 +27,14 @@ from metafix.braid import (  # noqa: E402
     gassner,
     gassner_reduced,
 )
+from metafix.endo import inner_automorphism, parse_endomorphism  # noqa: E402
+from metafix.fixpoint import CosetSolver, search_fixed  # noqa: E402
+from metafix.fox import j_minus_i, membership_row  # noqa: E402
 from metafix.laurent import LaurentPoly  # noqa: E402
 from metafix.matrices import LaurentMatrix, cramer_solve  # noqa: E402
+from metafix.samples import random_ia, random_rank_deficient_ia  # noqa: E402
+from metafix.words import parse_word  # noqa: E402
+from tests.conftest import data_path  # noqa: E402
 from tests.test_braid import random_braid  # noqa: E402
 
 GENS = sympy.symbols("x1:6")
@@ -234,7 +241,78 @@ def test_alexander_vanishing_matches_sympy(strands):
         b = random_braid(rng, strands, 6)
         reduced = gassner_reduced(gassner(braid_automorphism(b)))
         vanishes = alexander_vanishes(reduced)
-        minus_i = reduced - LaurentMatrix.identity(strands - 1, strands)
+        minus_i = reduced.minus_identity()
         assert vanishes == (not sympy_det(minus_i)), b
         seen.add(vanishes)
     assert seen == {True, False}
+
+
+def coset_referee(phi):
+    """Membership of (0, ..., 0, x^a - 1) in the row module of
+    [(J - I) | (x - 1)^T] over Q[x^+-1], as a function of a.
+
+    A fixed point in coset a has coordinates u0 + k with k (J - I) = 0 and
+    k . (x - 1) = 1 - x^-a (see `metafix.fixpoint`), so -x^a k is a ring
+    vector that the rows combine to that target.  A `found` coset is
+    therefore a member, and a non-member proves `none` (Z is in Q).  The
+    Laurent ring is Q[x, y] / (x_i y_i - 1): x_i^-1 is written y_i, and
+    every (x_i y_i - 1) e_j joins the rows."""
+    n = phi.rank
+    xs = sympy.symbols(f"x1:{n + 1}")
+    ys = sympy.symbols(f"y1:{n + 1}")
+    r = sympy.QQ.old_poly_ring(*xs, *ys)
+
+    def element(p):
+        return r.convert(sympy.Add(*[
+            c * sympy.Mul(*[(x**e if e >= 0 else y**-e) for x, y, e in zip(xs, ys, m)])
+            for m, c in p.exponent_terms().items()
+        ]))
+
+    zero = r.convert(0)
+    rows = [
+        [element(e) for e in row] + [element(d)]
+        for row, d in zip(j_minus_i(phi).entries, membership_row(n))
+    ]
+    for x, y in zip(xs, ys):
+        for j in range(n + 1):
+            unit = [zero] * (n + 1)
+            unit[j] = r.convert(x * y - 1)
+            rows.append(unit)
+    module = r.free_module(n + 1).submodule(*rows)
+    return lambda a: module.contains([zero] * n + [element(LaurentPoly.monomial(a, n) - 1)])
+
+
+def referee_inputs():
+    """The fixtures and seeded endomorphisms of every solver route: the
+    samples' IA, sparse IA and rank-deficient draws on 2 and 3
+    generators, and an inner automorphism by a commutator word, whose
+    ideal is zero."""
+    phis = []
+    for name in ("displaced_pair", "identity2", "infinite_fix", "rank_deficient"):
+        with open(data_path(f"{name}.endo")) as fh:
+            phis.append(parse_endomorphism(fh.read()))
+    rng = random.Random(120)
+    for n in (2, 3):
+        for _ in range(2):
+            phis.append(random_ia(rng, n))
+            phis.append(random_ia(rng, n, skip_chance=0.5))
+            phis.append(random_rank_deficient_ia(rng, n))
+    phis.append(inner_automorphism(parse_word("[x1,x2]", 3)))
+    return phis
+
+
+def test_coset_answers_match_module_membership():
+    # every `found` is a member and every `none` a non-member; Q-membership
+    # does not prove a Z-solution, so `undecided` is left unchecked
+    seen = set()
+    for phi in referee_inputs():
+        solver = CosetSolver(phi)
+        route = "zero ideal" if solver.ideal_is_zero else solver.mode
+        member = coset_referee(phi)
+        for c in search_fixed(phi, 1).cosets:
+            if c.status != "undecided":
+                assert member(c.exponents) == (c.status == "found"), (phi, c.exponents, c.status)
+            seen.add((route, c.status))
+    assert {route for route, _ in seen} == {"unique", "decoupled", "rank_deficient", "zero ideal"}
+    assert {("unique", "found"), ("unique", "none"), ("decoupled", "found"),
+            ("decoupled", "none"), ("rank_deficient", "found"), ("zero ideal", "none")} <= seen, seen
