@@ -92,11 +92,15 @@ class LaurentMatrix:
         return LaurentMatrix(self.nvars, [other.vec_mul(row) for row in self.entries])
 
     def vec_mul(self, vec):
-        """Row vector times matrix."""
+        """Row vector times matrix.  Each column's `dot` runs over the rows
+        where the vector is nonzero only, so a kernel vector with one
+        nonzero entry costs one product per column."""
         if len(vec) != self.rows:
             raise ValueError("vector length mismatch")
+        live = [(v, row) for v, row in zip(vec, self.entries) if v]
+        coeffs = [v for v, _ in live]
         return [
-            dot(vec, [row[j] for row in self.entries], self.nvars)
+            dot(coeffs, [row[j] for _, row in live], self.nvars)
             for j in range(self.cols)
         ]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,11 +10,13 @@ import pytest
 from metafix import braid, cli, fox
 from metafix.braid import GassnerConventionError
 from metafix.cli import main
-from metafix.endo import Endomorphism
+from metafix.endo import Endomorphism, parse_endomorphism
 from metafix.fixpoint import InternalCheckError
-from metafix.laurent import ExponentOverflowError, LaurentPoly
+from metafix.laurent import ExponentOverflowError, LaurentPoly, poly_to_text
+from metafix.magnus import MagnusElement
 from metafix.matrices import ExactDivisionError
-from metafix.words import MAX_LETTERS, Word, word_to_text
+from metafix.samples import random_ia, random_word
+from metafix.words import MAX_LETTERS, Word, parse_word, word_to_text
 from tests.conftest import data_path
 
 
@@ -100,6 +103,101 @@ def test_verify_command(capsys):
 
     rep = run_json(capsys, "verify", data_path("displaced_pair.endo"), "1", "--json")
     assert rep["fixed"] is True and rep["trivial_word"] is True
+
+
+def endo_file(tmp_path, phi):
+    f = tmp_path / "phi.endo"
+    f.write_text("".join(f"x{i} -> {word_to_text(y)}\n" for i, y in enumerate(phi.images, start=1)))
+    return str(f)
+
+
+def difference_reference(phi, g):
+    """(fixed, difference_coords) from the Fox pass of the difference
+    word phi(g) g^-1."""
+    diff = MagnusElement.of_word(phi.apply(g) * g.inverse())
+    return diff.is_identity(), [poly_to_text(p) for p in diff.coords]
+
+
+def verify_against_reference(capsys, path, phi, g):
+    """verify's `fixed` and `difference_coords` for g, checked against the
+    difference word's; returns `fixed`."""
+    rep = run_json(capsys, "verify", path, word_to_text(g), "--json")
+    got = rep["fixed"], rep["difference_coords"]
+    assert got == difference_reference(phi, g), word_to_text(g)
+    return rep["fixed"]
+
+
+def count_applies(monkeypatch):
+    """A list that gets one entry per call of Endomorphism.apply."""
+    calls = []
+    original = Endomorphism.apply
+
+    def counted(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(Endomorphism, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("skip_chance", [0.0, 0.5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_by_the_chain_rule_matches_the_difference_word(tmp_path, capsys, n, skip_chance):
+    rng = random.Random(f"verify-chain-rule:{n}:{skip_chance}")
+    answers = []
+    for _ in range(4):
+        phi = random_ia(rng, n, factors=2, skip_chance=skip_chance)
+        path = endo_file(tmp_path, phi)
+        words = [Word.identity(n)] + [random_word(rng, n, rng.randrange(1, 40)) for _ in range(4)]
+        # words over the generators phi fixes are fixed
+        kept = [i for i, y in enumerate(phi.images, start=1) if y == Word.generator(i - 1, n)]
+        if kept:
+            words += [
+                Word(n, [rng.choice(kept) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 20))])
+                for _ in range(2)
+            ]
+        answers += [verify_against_reference(capsys, path, phi, g) for g in words]
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("fixture", ["displaced_pair", "identity2", "infinite_fix", "rank_deficient"])
+def test_verify_confirms_every_analyze_witness(capsys, fixture):
+    path = data_path(fixture + ".endo")
+    with open(path) as fh:
+        phi = parse_endomorphism(fh.read())
+    fix = run_json(capsys, "analyze", path, "--bound", "1", "--json")["fix"]
+    witnesses = [fix["witness_in_commutator"]] + [c["witness"] for c in fix["cosets"]]
+    for w in filter(None, witnesses):
+        assert verify_against_reference(capsys, path, phi, parse_word(w, phi.rank))
+
+
+def test_verify_applies_an_ia_endomorphism_only_to_confirm_a_fixed_word(monkeypatch, capsys):
+    calls = count_applies(monkeypatch)
+    assert not run_json(capsys, "verify", data_path("infinite_fix.endo"), "x1 x2", "--json")["fixed"]
+    assert calls == []
+    assert run_json(capsys, "verify", data_path("infinite_fix.endo"), "x2 x3", "--json")["fixed"]
+    assert [word_to_text(w) for w in calls] == ["x2 x3"]
+
+
+def test_verify_reports_an_oracle_that_disagrees(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "is_fixed", lambda phi, g: False)
+    code, out, err = run_cli(capsys, "verify", data_path("infinite_fix.endo"), "x2", "--json")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation: ")
+
+
+@pytest.mark.parametrize("word,fixed", [("x2^3", True), ("[x1,x2]", False)])
+def test_verify_of_a_non_ia_endomorphism_applies_it(monkeypatch, capsys, word, fixed):
+    # [x1,x2] has exponent sums 0 and so has its difference word: only
+    # the coordinates show it is moved
+    path = data_path("doubling.endo")
+    with open(path) as fh:
+        phi = parse_endomorphism(fh.read())
+    assert not phi.is_ia()
+    calls = count_applies(monkeypatch)
+    assert verify_against_reference(capsys, path, phi, parse_word(word, 2)) is fixed
+    # once by verify and once by the reference
+    assert len(calls) == 2
 
 
 def test_braid_command(capsys):

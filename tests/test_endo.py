@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -71,11 +72,29 @@ def test_image_past_the_letter_limit_is_rejected():
 
 
 def test_verify_rejects_an_image_past_the_letter_limit(tmp_path, capsys):
+    # x1 -> [x1,x2]^512 x1 x1 is not IA, so verify builds the image of
+    # x1^1024, which passes the limit
+    f = tmp_path / "hostile.endo"
+    f.write_text("x1 -> (x1 x2 x1^-1 x2^-1)^512 x1 x1\nx2 -> x2\n")
+    code = main(["verify", str(f), "(x1)^1024"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: image of 1024 letters exceeds the limit of {MAX_LETTERS}\n"
+
+
+def test_verify_answers_an_ia_word_whose_image_passes_the_limit(monkeypatch, tmp_path, capsys):
+    # the chain rule answers an unfixed word of an IA endomorphism with no
+    # image word, however long the image would be
+    def refuse(self, w):
+        raise AssertionError("verify built an image")
+
+    monkeypatch.setattr(Endomorphism, "apply", refuse)
     f = tmp_path / "hostile.endo"
     f.write_text(HOSTILE)
-    code = main(["verify", str(f), "(x1)^1024"])
-    err = capsys.readouterr().err
-    assert code == 2 and "exceeds the limit" in err
+    code = main(["verify", str(f), "(x1)^1024", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["fixed"] is False
 
 
 def test_image_that_reduces_below_the_limit_is_kept():

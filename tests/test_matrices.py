@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metafix.endo import Endomorphism
-from metafix.fox import jacobian
+from metafix.fox import j_minus_i, jacobian
 from metafix.laurent import LaurentPoly, parse_poly
 from metafix.matrices import LaurentMatrix, _det_cofactor, cramer_solve, normalize_vector
 from metafix.samples import random_ia, random_poly
@@ -190,6 +190,29 @@ def test_kernel_annihilates_random():
         assert any(not p.is_zero() for p in k)
         assert all(p.is_zero() for p in m.vec_mul(k))
     assert hits > 10
+
+
+def test_kernel_vector_check_multiplies_only_the_nonzero_entries(monkeypatch):
+    # J - I of the identity on 128 generators is zero; each kernel vector
+    # is a unit vector, so its check takes one product per column, not
+    # one per entry of the matrix
+    n = 128
+    jmi = j_minus_i(Endomorphism.identity(n))
+    triples = []
+    original = LaurentPoly.sum_products.__func__
+
+    def counted(cls, nvars, given):
+        given = list(given)
+        triples.extend(given)
+        return original(cls, nvars, given)
+
+    monkeypatch.setattr(LaurentPoly, "sum_products", classmethod(counted))
+    k = jmi.kernel_vector(5)
+    assert [i for i, p in enumerate(k) if p] == [5]
+    assert 0 < len(triples) <= n
+    # a zero vector gives a zero row of the full width
+    zero = [LaurentPoly.zero(n)] * n
+    assert jmi.vec_mul(zero) == zero
 
 
 def test_cramer_examples():
