@@ -28,7 +28,7 @@ from .braid import (
 from .endo import parse_endomorphism
 from .errors import InvariantError
 from .fixpoint import InternalCheckError, is_fixed, search_fixed
-from .fox import j_minus_i, jacobian, word_coords
+from .fox import chain_rule_coords, j_minus_i, jacobian, word_coords
 from .laurent import poly_to_text
 from .magnus import MagnusElement, is_trivial
 from .words import WordError, parse_digits, parse_word, word_to_text
@@ -103,7 +103,8 @@ def _read(path):
 MAX_COSETS = 1 << 16
 # The most strands `braid` accepts, and the most generators `analyze`
 # accepts: the Jacobian has n^2 entries, and the identity braid already
-# takes seconds at 256 strands.
+# takes seconds at 256 strands.  `verify` builds no Jacobian, only the
+# rows of the generators its word contains, and takes any n.
 MAX_STRANDS = 128
 
 
@@ -204,22 +205,28 @@ def cmd_verify(args):
     g = parse_word(args.word, phi.rank)
     if phi.is_ia():
         # the Fox chain rule: coords(phi(g) g^-1) = coords(g) (J - I) and
-        # the exponent sums of phi(g) g^-1 vanish, so one pass over g
-        # gives the answer and its coordinates with no image word.  A
-        # fixed answer is confirmed by the oracle, as a found witness is.
-        coords = j_minus_i(phi).vec_mul(word_coords(g))
+        # the exponent sums of phi(g) g^-1 vanish, so one sparse pass over
+        # g and over the images of its generators gives the answer and its
+        # coordinates, with no image word and no row of J for a generator
+        # g lacks.  A fixed answer is confirmed by the oracle, as a found
+        # witness is.
+        sums, cg = word_coords(g, abelian=True, sparse=True)
+        coords = chain_rule_coords(phi, cg)
         fixed = not any(coords)
         if fixed and not is_fixed(phi, g):
             raise InternalCheckError("the chain rule finds the word fixed, the oracle does not")
+        # is_trivial(g), from the same pass
+        trivial = not any(sums) and not any(cg.values())
     else:
         # one oracle element of the difference word gives both the answer
         # and its coordinates
         diff = MagnusElement.of_word(phi.apply(g) * g.inverse())
         coords, fixed = diff.coords, diff.is_identity()
+        trivial = is_trivial(g)
     report = {
         "input": {"file": args.file, "word": word_to_text(g)},
         "fixed": fixed,
-        "trivial_word": is_trivial(g),
+        "trivial_word": trivial,
         "difference_coords": [poly_to_text(p) for p in coords],
     }
     _emit(report, args.json)

@@ -51,11 +51,12 @@ def peel(p, j):
     return h, low
 
 
-def word_coords(w, abelian=False):
+def word_coords(w, abelian=False, sparse=False):
     """All abelianized derivatives of a word, as a list of polynomials;
-    with `abelian`, the pair of its exponent sums and that list, from the
-    same pass."""
-    return word_pass(w.letters, w.rank, abelian)
+    with `sparse`, as a dict from the 0-based index of each generator the
+    word contains to its derivative; with `abelian`, the pair of its
+    exponent sums and those derivatives, from the same pass."""
+    return word_pass(w.letters, w.rank, abelian, sparse)
 
 
 def jacobian(phi):
@@ -73,6 +74,31 @@ def j_minus_i(phi):
     if phi._jmi is None:
         phi._jmi = jacobian(phi).minus_identity()
     return phi._jmi
+
+
+def chain_rule_coords(phi, cg):
+    """coords(g) (J - I) for the sparse derivatives cg of a word g
+    (`word_coords(g, sparse=True)`): by the Fox chain rule, the
+    coordinates of phi(g) g^-1 when phi is IA.  Row k of J enters only
+    through cg[k], so only the rows of the generators in g are formed,
+    each from a sparse pass over its image, and the work follows those
+    images and not n^2."""
+    n = phi.rank
+    columns = {}
+    for k, c in cg.items():
+        if not c:
+            continue
+        row = word_coords(phi.images[k], sparse=True)
+        # row k of J - I; x_k occurs in its IA image
+        row[k] -= 1
+        for j, d in row.items():
+            if d:
+                columns.setdefault(j, []).append((1, c, d))
+    zero = LaurentPoly.zero(n)
+    return [
+        LaurentPoly.sum_products(n, columns[j]) if j in columns else zero
+        for j in range(n)
+    ]
 
 
 def product_rule_holds(phi, psi):

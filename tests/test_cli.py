@@ -13,7 +13,7 @@ from metafix.cli import main
 from metafix.endo import Endomorphism, parse_endomorphism
 from metafix.fixpoint import InternalCheckError
 from metafix.laurent import ExponentOverflowError, LaurentPoly, poly_to_text
-from metafix.magnus import MagnusElement
+from metafix.magnus import MagnusElement, is_trivial
 from metafix.matrices import ExactDivisionError
 from metafix.samples import random_ia, random_word
 from metafix.words import MAX_LETTERS, Word, parse_word, word_to_text
@@ -120,10 +120,12 @@ def difference_reference(phi, g):
 
 def verify_against_reference(capsys, path, phi, g):
     """verify's `fixed` and `difference_coords` for g, checked against the
-    difference word's; returns `fixed`."""
+    difference word's, and its `trivial_word` against `is_trivial`;
+    returns `fixed`."""
     rep = run_json(capsys, "verify", path, word_to_text(g), "--json")
     got = rep["fixed"], rep["difference_coords"]
     assert got == difference_reference(phi, g), word_to_text(g)
+    assert rep["trivial_word"] is is_trivial(g), word_to_text(g)
     return rep["fixed"]
 
 
@@ -148,7 +150,9 @@ def test_verify_by_the_chain_rule_matches_the_difference_word(tmp_path, capsys, 
     for _ in range(4):
         phi = random_ia(rng, n, factors=2, skip_chance=skip_chance)
         path = endo_file(tmp_path, phi)
-        words = [Word.identity(n)] + [random_word(rng, n, rng.randrange(1, 40)) for _ in range(4)]
+        # the identity and a nonempty word trivial in the metabelian group
+        words = [Word.identity(n), parse_word("[[x1,x2], x2 [x1,x2] x2^-1]", n)]
+        words += [random_word(rng, n, rng.randrange(1, 40)) for _ in range(4)]
         # words over the generators phi fixes are fixed
         kept = [i for i, y in enumerate(phi.images, start=1) if y == Word.generator(i - 1, n)]
         if kept:
@@ -198,6 +202,40 @@ def test_verify_of_a_non_ia_endomorphism_applies_it(monkeypatch, capsys, word, f
     assert verify_against_reference(capsys, path, phi, parse_word(word, 2)) is fixed
     # once by verify and once by the reference
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("word,fixed", [("x1 x2^-1", False), ("x3^2 x2000", True)])
+def test_verify_forms_only_the_rows_of_the_word_s_generators(monkeypatch, tmp_path, capsys, word, fixed):
+    # 2000 generators, far past the Jacobian cap of `analyze`: verify
+    # builds no Jacobian and makes one sparse pass over the word and one
+    # over each image it needs; only the oracle's confirmation of a fixed
+    # word makes a full pass
+    n = 2000
+    f = tmp_path / "wide.endo"
+    f.write_text("x1 -> x1 [x2,x3]\n" + "".join(f"x{k} -> x{k}\n" for k in range(2, n + 1)))
+    phi = parse_endomorphism(f.read_text())
+    g = parse_word(word, n)
+    reference = difference_reference(phi, g)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("verify built a Jacobian")
+
+    for owner in (fox, cli):
+        monkeypatch.setattr(owner, "jacobian", fail)
+        monkeypatch.setattr(owner, "j_minus_i", fail)
+    passes = []
+    word_pass = fox.word_pass
+
+    def counted(letters, nvars, abelian=False, sparse=False):
+        passes.append(sparse)
+        return word_pass(letters, nvars, abelian, sparse)
+
+    monkeypatch.setattr(fox, "word_pass", counted)
+    rep = run_json(capsys, "verify", str(f), word, "--json")
+    assert (rep["fixed"], rep["difference_coords"]) == reference
+    assert rep["fixed"] is fixed and rep["trivial_word"] is False
+    # the word, then the image of each of its generators
+    assert passes == [True] * 3 + [False] * fixed
 
 
 def test_braid_command(capsys):

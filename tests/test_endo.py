@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from metafix import endo
 from metafix.braid import BraidWord, parse_braid
 from metafix.cli import main
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
 from metafix.laurent import LaurentPoly, parse_poly
 from metafix.magnus import MagnusElement
 from metafix.samples import random_word
-from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word
+from metafix.words import MAX_LETTERS, Word, WordError, free_reduce, parse_word, word_to_text
 from tests.conftest import data_path
 
 ranks = st.integers(1, 4)
@@ -160,15 +161,15 @@ def test_equal_values_hash_equal():
 
 @pytest.fixture
 def summed(monkeypatch):
-    """The words whose exponent sums are taken, in call order."""
+    """The words whose exponent sums `is_ia` takes, in call order."""
     words = []
-    exponent_sums = Word.exponent_sums
+    abelianizes_to = endo._abelianizes_to
 
-    def counting(w):
+    def counting(w, i):
         words.append(w)
-        return exponent_sums(w)
+        return abelianizes_to(w, i)
 
-    monkeypatch.setattr(Word, "exponent_sums", counting)
+    monkeypatch.setattr(endo, "_abelianizes_to", counting)
     return words
 
 
@@ -181,6 +182,16 @@ def test_ia_check_sums_each_image_at_most_once(summed, text, ia):
     phi = parse_endomorphism(text)
     assert [phi.is_ia() for _ in range(3)] == [ia] * 3
     assert len(summed) == len({id(w) for w in summed}) <= phi.rank
+
+
+def test_ia_check_matches_the_exponent_sums():
+    rng = random.Random("ia-check")
+    words = [parse_word(t, 3) for t in ("1", "x1", "x1^-1", "x1^2 x2 x1^-1 x2^-1", "x2 x1 x2^-1", "x1 x3^-1")]
+    words += [random_word(rng, 3, rng.randrange(0, 12)) for _ in range(300)]
+    for y in words:
+        for i in range(1, 4):
+            unit = tuple(int(j == i) for j in range(1, 4))
+            assert endo._abelianizes_to(y, i) == (y.exponent_sums() == unit), (word_to_text(y), i)
 
 
 def test_analyze_checks_ia_once(monkeypatch, capsys, summed, displaced_pair):
