@@ -25,7 +25,7 @@ from .braid import (
     gassner_reduced,
     parse_braid,
 )
-from .endo import parse_endomorphism
+from .endo import MAX_GENERATORS, parse_endomorphism
 from .errors import InvariantError
 from .fixpoint import InternalCheckError, is_fixed, search_fixed
 from .fox import chain_rule_coords, j_minus_i, jacobian, word_coords
@@ -101,11 +101,10 @@ def _read(path):
 # The largest coset box `analyze` accepts; the box of --bound b on n
 # generators holds (2b+1)^n - 1 cosets, each one solved in turn.
 MAX_COSETS = 1 << 16
-# The most strands `braid` accepts, and the most generators `analyze`
-# accepts: the Jacobian has n^2 entries, and the identity braid already
-# takes seconds at 256 strands.  `verify` builds no Jacobian, only the
-# rows of the generators its word contains, and takes any n.
-MAX_STRANDS = 128
+# The most strands `braid` accepts: the identity braid already takes
+# seconds at 256 strands.  It is the generator cap that
+# `parse_endomorphism` applies to the files of `analyze` and `verify`.
+MAX_STRANDS = MAX_GENERATORS
 
 
 def _number(text, name):
@@ -123,8 +122,6 @@ def cmd_analyze(args):
     bound = _number(args.bound, "--bound")
     phi = parse_endomorphism(_read(args.file))
     n = phi.rank
-    if n > MAX_STRANDS:
-        raise WordError(f"need at most {MAX_STRANDS} generators, got {n}")
     # with a bound >= 1, MAX_COSETS.bit_length() generators already exceed
     # the limit, so n is clipped there and the power stays small
     if (2 * bound + 1) ** min(n, MAX_COSETS.bit_length()) - 1 > MAX_COSETS:

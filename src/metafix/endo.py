@@ -5,20 +5,25 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .words import MAX_LETTERS, Word, WordError, junction, parse_digits, parse_word, word_to_text
+from .words import MAX_LETTERS, Word, WordError, extend_reduced, parse_digits, parse_word, word_to_text
 
 
 # The longest left side that an error message quotes.
 MAX_QUOTED = 40
+# The most generators `parse_endomorphism` accepts: the Jacobian has n^2
+# entries, and every packed monomial has n fields, so each polynomial
+# term costs O(n) to build, multiply and print.
+MAX_GENERATORS = 128
 
 
 class Endomorphism:
     """An endomorphism given by its generator images.  Immutable: nothing
     writes `images` after `__init__`, so `apply` keeps a table of the
     images and their inverses once it has built it, `is_ia` keeps its
-    answer, and `fox.jacobian` and `fox.j_minus_i` keep J and J - I."""
+    answer, `fox.jacobian` and `fox.j_minus_i` keep J and J - I, and
+    `fixpoint.left_kernel` keeps the checked kernel basis of J - I."""
 
-    __slots__ = ("rank", "images", "_table", "_ia", "_jacobian", "_jmi")
+    __slots__ = ("rank", "images", "_table", "_ia", "_jacobian", "_jmi", "_kernel")
 
     def __init__(self, images):
         images = tuple(images)
@@ -32,7 +37,7 @@ class Endomorphism:
             raise ValueError(f"{rank} generators but {len(images)} image words")
         self.rank = rank
         self.images = images
-        self._table = self._ia = self._jacobian = self._jmi = None
+        self._table = self._ia = self._jacobian = self._jmi = self._kernel = None
 
     @classmethod
     def identity(cls, rank):
@@ -54,13 +59,7 @@ class Endomorphism:
                 table[-i] = y.inverse().letters
         out = []
         for L in w.letters:
-            img = table[L]
-            if out and img and out[-1] == -img[0]:
-                k = junction(out, img)
-                del out[len(out) - k :]
-                out.extend(img[k:])
-            else:
-                out.extend(img)
+            extend_reduced(out, table[L])
             if len(out) > MAX_LETTERS:
                 raise WordError(f"image of {len(w)} letters exceeds the limit of {MAX_LETTERS}")
         return Word._raw(self.rank, tuple(out))
@@ -111,7 +110,8 @@ def parse_endomorphism(text):
     """Parse an endomorphism file: line i is `xI -> word`, rank = #lines.
 
     Blank lines and `#` comments are ignored.  Lines must appear in
-    generator order x1, x2, ...
+    generator order x1, x2, ...  The lines are counted, and held to
+    MAX_GENERATORS, before any right side is parsed.
     """
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +135,8 @@ def parse_endomorphism(text):
     n = len(entries)
     if n == 0:
         raise WordError("no generator images found")
+    if n > MAX_GENERATORS:
+        raise WordError(f"need at most {MAX_GENERATORS} generators, got {n}")
     images = []
     for k, (lineno, idx, rhs) in enumerate(entries, start=1):
         if idx != k:

@@ -11,8 +11,12 @@ f(k) = k . (x - 1) = 0.
 
 One elimination of J - I, kept on the matrix, gives a basis
 k_1, ..., k_d of that kernel over the fraction field, one row vector per
-non-pivot row of J - I, and each f_j = f(k_j).  As f is linear on the
-kernel:
+non-pivot row of J - I, and each f_j = f(k_j).  `left_kernel` is the
+one entry to that analysis: it checks, once per endomorphism, that the
+input is IA and that d >= 1 (J - I of an IA input has rank
+n - d <= n - 1), and every caller, the rank-defect class included,
+reads the basis and the f_j from it.  As f is
+linear on the kernel:
 
 - if some f_j = 0, k_j is a fixed point;
 - if d >= 2 and every f_j is nonzero, so is u = f_2 k_1 - f_1 k_2;
@@ -119,21 +123,21 @@ def is_fixed(phi, g):
     return is_trivial(phi.apply(g) * g.inverse())
 
 
-def _j_minus_i(phi):
-    """J - I of an IA input, kept on phi (`fox.j_minus_i`)."""
-    if not phi.is_ia():
-        raise ValueError("endomorphism is not IA (identical in abelianization)")
-    return j_minus_i(phi)
-
-
-def left_kernel(jmi):
-    """The basis k_1, ..., k_d of the left kernel of J - I over the
-    fraction field, from its one elimination and kept on it, and
-    f_j = k_j . (x - 1)."""
-    basis = jmi.left_kernel_basis()
-    if not basis or not all(any(k) for k in basis):
-        raise InternalCheckError("left kernel basis of J - I is empty or has a zero vector")
-    return basis, [membership(k) for k in basis]
+def left_kernel(phi):
+    """The one entry to the kernel analysis of an IA input: the basis
+    k_1, ..., k_d of the left kernel of J - I over the fraction field,
+    read off the J - I and elimination kept on phi (`fox.j_minus_i`), and
+    f_j = k_j . (x - 1), checked and built on first use and kept on phi.
+    J - I of an IA input has rank at most n - 1, so d >= 1: an empty
+    basis, or one with a zero vector, is a bug."""
+    if phi._kernel is None:
+        if not phi.is_ia():
+            raise ValueError("endomorphism is not IA (identical in abelianization)")
+        basis = j_minus_i(phi).left_kernel_basis()
+        if not basis or not all(any(k) for k in basis):
+            raise InternalCheckError("left kernel basis of J - I is empty or has a zero vector")
+        phi._kernel = basis, tuple(membership(k) for k in basis)
+    return phi._kernel
 
 
 def commutator_fixed_coords(basis, fs):
@@ -154,7 +158,7 @@ def commutator_fixed_coords(basis, fs):
 def fixed_point_in_commutator(phi):
     """A verified nontrivial fixed point inside the commutator subgroup,
     or None when no such fixed point exists."""
-    u = commutator_fixed_coords(*left_kernel(_j_minus_i(phi)))
+    u = commutator_fixed_coords(*left_kernel(phi))
     if u is None:
         return None
     g = realize_coords(u)
@@ -192,10 +196,10 @@ class CosetSolver:
     """
 
     def __init__(self, phi):
-        jmi = _j_minus_i(phi)
+        basis, fs = left_kernel(phi)
+        jmi = j_minus_i(phi)
         self.phi = phi
         self.n = n = phi.rank
-        basis, fs = left_kernel(jmi)
         # the zero rows of J - I, the generators that phi fixes
         self.zero_rows = [i for i, row in enumerate(jmi.entries) if not any(row)]
         self.moved_rows = [i for i in range(n) if i not in self.zero_rows]
@@ -313,15 +317,6 @@ its rank-defect class, the commutator-subgroup witness word (or None)
 and the CosetOutcome records, one per coset of the box."""
 
 
-def rank_defect_class(phi):
-    """"rank<=n-2" or "rank=n-1" for the matrix J - I of an IA input."""
-    n = phi.rank
-    r = _j_minus_i(phi).rank()
-    if r > n - 1:
-        raise InternalCheckError("J - I has full rank for an IA endomorphism")
-    return "rank<=n-2" if r <= n - 2 else "rank=n-1"
-
-
 def coset_box(n, bound):
     """All nonzero exponent vectors with max |a_i| <= bound, sorted."""
     return [
@@ -333,11 +328,14 @@ def search_fixed(phi, bound):
     """Run the commutator-subgroup detector plus every coset in the box.
 
     Every witness in the report has passed the word-problem oracle; a
-    witness that fails it raises InternalCheckError.  J - I and its
-    elimination are kept on phi, so the detector, the solver and a
-    caller that reports the rank share one."""
-    rank_class = rank_defect_class(phi)
+    witness that fails it raises InternalCheckError.  The detector, the
+    solver and the rank-defect class all read the one kernel basis kept
+    on phi (`left_kernel`): J - I has rank n - d for a basis of d
+    vectors, so rank <= n - 2 exactly when d >= 2, and no rank is
+    queried."""
     witness = fixed_point_in_commutator(phi)
+    basis, _ = left_kernel(phi)
+    rank_class = "rank<=n-2" if len(basis) >= 2 else "rank=n-1"
     solver = CosetSolver(phi)
     cosets = [solver.solve(a) for a in coset_box(phi.rank, bound)]
     return FixReport(rank_class, witness, cosets)

@@ -181,30 +181,22 @@ def _sum_products(triples, n):
 def word_pass(letters, n, abelian=False, sparse=False):
     """One left-to-right pass computing all abelianized derivatives.
 
-    `letters` is a sequence of signed 1-based generator indices.  Returns
-    the list of the n derivative polynomials; with `sparse`, the dict
-    from the 0-based index of each generator the word contains to its
-    derivative, with no key step or polynomial built for the others.
-    With `abelian`, the pair of the word's exponent sums and those
-    derivatives.  The running abelianization of the prefix is one key,
-    moved by the generator's key step per letter, so the pass ends with
-    the word's exponent sums.
+    `letters` is a sequence of signed 1-based generator indices.  The
+    pass has one set-up, and `sparse` chooses only how its result is
+    packed: the list of the n derivative polynomials, or with `sparse`
+    the dict from the 0-based index of each generator the word contains
+    to its derivative.  With `abelian`, the pair of the word's exponent
+    sums and those derivatives.  The running abelianization of the prefix
+    is one key, moved by the generator's key step per letter, so the pass
+    ends with the word's exponent sums.
     """
     # Partial exponent sums and degrees never exceed the word length.
     if len(letters) >= _H:
         raise ExponentOverflowError(_OUT_OF_RANGE)
     acc = _origin(n)
     deg_step = 1 << (_W * n)
-    if sparse:
-        live = [L - 1 for L in set(map(abs, letters))]
-        steps = [0] * n
-        coords = [None] * n
-        for i in live:
-            steps[i] = deg_step + (1 << (_W * (n - 1 - i)))
-            coords[i] = {}
-    else:
-        steps = [deg_step + (1 << (_W * (n - 1 - i))) for i in range(n)]
-        coords = [{} for _ in range(n)]
+    steps = [deg_step + (1 << (_W * (n - 1 - i))) for i in range(n)]
+    coords = [{} for _ in range(n)]
     for L in letters:
         if L > 0:
             i = L - 1
@@ -225,7 +217,7 @@ def word_pass(letters, n, abelian=False, sparse=False):
             else:
                 del d[acc]
     if sparse:
-        coords = {i: LaurentPoly._raw(n, coords[i]) for i in live}
+        coords = {L - 1: LaurentPoly._raw(n, coords[L - 1]) for L in set(map(abs, letters))}
     else:
         coords = [LaurentPoly._raw(n, d) for d in coords]
     return (_unpack(acc, n), coords) if abelian else coords

@@ -69,7 +69,7 @@ def _check_kernel_decides_stacked_rank(rng, k):
         phi = random_rank_deficient_ia(rng, n) if k % 3 == 1 else random_ia(rng, n)
     jmi = j_minus_i(phi)
     rank = LaurentMatrix(n, [*zip(*jmi.entries), membership_row(n)]).rank()
-    _, fs = left_kernel(jmi)
+    _, fs = left_kernel(phi)
     return (not any(fs)) == (rank == jmi.rank()) and (rank < n) == (
         fixed_point_in_commutator(phi) is not None
     )

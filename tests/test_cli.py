@@ -204,13 +204,13 @@ def test_verify_of_a_non_ia_endomorphism_applies_it(monkeypatch, capsys, word, f
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("word,fixed", [("x1 x2^-1", False), ("x3^2 x2000", True)])
+@pytest.mark.parametrize("word,fixed", [("x1 x2^-1", False), ("x3^2 x128", True)])
 def test_verify_forms_only_the_rows_of_the_word_s_generators(monkeypatch, tmp_path, capsys, word, fixed):
-    # 2000 generators, far past the Jacobian cap of `analyze`: verify
-    # builds no Jacobian and makes one sparse pass over the word and one
-    # over each image it needs; only the oracle's confirmation of a fixed
-    # word makes a full pass
-    n = 2000
+    # as many generators as a file may have: verify builds no Jacobian
+    # and makes one sparse pass over the word and one over each image it
+    # needs; only the oracle's confirmation of a fixed word makes a full
+    # pass
+    n = cli.MAX_STRANDS
     f = tmp_path / "wide.endo"
     f.write_text("x1 -> x1 [x2,x3]\n" + "".join(f"x{k} -> x{k}\n" for k in range(2, n + 1)))
     phi = parse_endomorphism(f.read_text())
@@ -360,12 +360,15 @@ def test_hostile_braids_are_rejected_before_building(monkeypatch, capsys):
             main(["braid", *argv])
 
 
-def test_analyze_caps_the_generators_before_the_jacobian(monkeypatch, tmp_path, capsys):
-    def identity_file(n):
-        f = tmp_path / f"identity{n}.endo"
-        f.write_text("".join(f"x{k} -> x{k}\n" for k in range(1, n + 1)))
-        return str(f)
+def identity_file(tmp_path, n):
+    f = tmp_path / f"identity{n}.endo"
+    f.write_text("".join(f"x{k} -> x{k}\n" for k in range(1, n + 1)))
+    return str(f)
 
+
+def test_analyze_caps_the_generators_before_the_jacobian(monkeypatch, tmp_path, capsys):
+    # `parse_endomorphism` counts the lines before any right side reaches
+    # `parse_word`
     cap = cli.MAX_STRANDS
     with monkeypatch.context() as m:
         def fail(*args, **kwargs):
@@ -374,13 +377,32 @@ def test_analyze_caps_the_generators_before_the_jacobian(monkeypatch, tmp_path, 
         m.setattr(fox, "jacobian", fail)
         m.setattr(cli, "jacobian", fail)
         m.setattr(Endomorphism, "is_ia", fail)
-        code, out, err = run_cli(capsys, "analyze", identity_file(cap + 1), "--bound", "0")
+        m.setattr("metafix.endo.parse_word", fail)
+        code, out, err = run_cli(capsys, "analyze", identity_file(tmp_path, cap + 1), "--bound", "0")
     assert code == 2 and out == ""
     assert err == f"error: need at most {cap} generators, got {cap + 1}\n"
-    code, out, err = run_cli(capsys, "analyze", identity_file(cap), "--json", "--bound", "0")
+    code, out, err = run_cli(
+        capsys, "analyze", identity_file(tmp_path, cap), "--json", "--bound", "0"
+    )
     report = json.loads(out)
     assert code == 0 and err == ""
     assert report["input"]["rank"] == cap and report["ia"] and report["rank_JmI"] == 0
+
+
+def test_verify_caps_the_generators_before_any_image_is_parsed(monkeypatch, tmp_path, capsys):
+    # the one cap of `analyze`: each packed monomial has a field per
+    # generator, so past it every term, and its text, costs more
+    cap = cli.MAX_STRANDS
+    with monkeypatch.context() as m:
+        def fail(*args, **kwargs):
+            raise AssertionError("an image was parsed")
+
+        m.setattr("metafix.endo.parse_word", fail)
+        code, out, err = run_cli(capsys, "verify", identity_file(tmp_path, cap + 1), "x1")
+    assert code == 2 and out == ""
+    assert err == f"error: need at most {cap} generators, got {cap + 1}\n"
+    report = run_json(capsys, "verify", identity_file(tmp_path, cap), "x1", "--json")
+    assert report["fixed"] is True and report["difference_coords"] == ["0"] * cap
 
 
 @pytest.mark.parametrize("word", ["A[1,2]^1048576", "A[1,3]^131073"])

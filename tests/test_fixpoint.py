@@ -16,12 +16,12 @@ from metafix.fixpoint import (
     fixed_point_in_commutator,
     is_fixed,
     left_kernel,
-    rank_defect_class,
     screen_point,
     search_fixed,
     width_directions,
 )
-from metafix.fox import jacobian, membership, word_coords
+from metafix.cli import main
+from metafix.fox import j_minus_i, jacobian, membership, word_coords
 from metafix.laurent import LaurentPoly, word_pass_mod
 from metafix.magnus import (
     MagnusElement,
@@ -219,7 +219,7 @@ def test_detected_witnesses_on_rank_deficient_instances():
     for _ in range(10):
         n = 3 + (rng.random() < 0.5)
         phi = random_rank_deficient_ia(rng, n)
-        assert rank_defect_class(phi) == "rank<=n-2"
+        assert search_fixed(phi, 0).rank_defect_class == "rank<=n-2"
         w = fixed_point_in_commutator(phi)
         assert w is not None and not is_trivial(w) and is_fixed(phi, w)
 
@@ -778,7 +778,7 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
     for k in range(30):
         phi = random_rank_deficient_ia(rng, 3 + k % 2)
         jmi = jacobian(phi).minus_identity()
-        basis, fs = left_kernel(jmi)
+        basis, fs = left_kernel(phi)
         if len(basis) < 2 or not all(fs):
             continue
         combined += 1
@@ -788,3 +788,46 @@ def test_combined_witness_when_no_basis_vector_has_zero_image():
         w = fixed_point_in_commutator(phi)
         assert word_coords(w) == u and is_fixed(phi, w)
     assert combined >= 20, combined
+
+
+def test_the_rank_defect_class_comes_from_the_kernel_basis_size():
+    # search_fixed reads the class off d, the size of the kernel basis,
+    # and queries no rank; it must match the rank of J - I
+    rng = random.Random(28)
+    phis = _fixtures()
+    for k in range(12):
+        n = 2 + k % 3
+        phis += [random_ia(rng, n), random_rank_deficient_ia(rng, n)]
+    inner = inner_automorphism(parse_word("[x1,x2]", 2))
+    phis.append(inner)
+    seen = set()
+    for phi in phis:
+        n = phi.rank
+        want = "rank<=n-2" if j_minus_i(phi).rank() <= n - 2 else "rank=n-1"
+        assert search_fixed(phi, 1).rank_defect_class == want, phi
+        seen.add(want)
+    assert seen == {"rank<=n-2", "rank=n-1"}
+    # rank 1 = n - 1 with f_1 = 0: the "rank_deficient" route, and a
+    # commutator witness, yet the class is "rank=n-1"
+    basis, fs = left_kernel(inner)
+    assert len(basis) == 1 and not fs[0]
+    assert CosetSolver(inner).mode == "rank_deficient"
+    rep = search_fixed(inner, 1)
+    assert rep.witness_in_commutator is not None and rep.rank_defect_class == "rank=n-1"
+
+
+def test_an_empty_kernel_basis_is_an_internal_error(monkeypatch, infinite_fix, capsys):
+    # J - I of an IA input has rank at most n - 1, so its kernel basis is
+    # never empty; every entry to the kernel analysis checks that once
+    monkeypatch.setattr(LaurentMatrix, "left_kernel_basis", lambda m: ())
+    for analysis in (lambda phi: search_fixed(phi, 1), fixed_point_in_commutator, CosetSolver):
+        with pytest.raises(InternalCheckError, match="empty"):
+            analysis(infinite_fix)
+    code = main(["analyze", data_path("infinite_fix.endo"), "--bound", "1"])
+    out = capsys.readouterr()
+    assert code == 3 and "left kernel basis of J - I is empty" in out.err
+
+
+def test_left_kernel_rejects_a_non_ia_endomorphism():
+    with pytest.raises(ValueError, match="not IA"):
+        left_kernel(parse_endomorphism("x1 -> x1^2\nx2 -> x2"))
