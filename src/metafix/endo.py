@@ -21,7 +21,8 @@ class Endomorphism:
     writes `images` after `__init__`, so `apply` keeps a table of the
     images and their inverses once it has built it, `is_ia` keeps its
     answer, `fox.jacobian` and `fox.j_minus_i` keep J and J - I, and
-    `fixpoint.left_kernel` keeps the checked kernel basis of J - I."""
+    `fixpoint.left_kernel` keeps the checked kernel basis of J - I and
+    its membership values, the one place the basis is kept."""
 
     __slots__ = ("rank", "images", "_table", "_ia", "_jacobian", "_jmi", "_kernel")
 
@@ -109,12 +110,14 @@ def inner_automorphism(g):
 def parse_endomorphism(text):
     """Parse an endomorphism file: line i is `xI -> word`, rank = #lines.
 
-    Blank lines and `#` comments are ignored.  Lines must appear in
-    generator order x1, x2, ...  The lines are counted, and held to
-    MAX_GENERATORS, before any right side is parsed.
+    Blank lines and `#` comments are ignored.  Lines end at LF, CR LF or
+    CR only, so the other breaks of `str.splitlines` (form feed, U+2028,
+    ...) stay inside a comment.  Lines must appear in generator order x1,
+    x2, ...  The lines are counted, and held to MAX_GENERATORS, before
+    any right side is parsed.
     """
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

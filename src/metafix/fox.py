@@ -51,12 +51,11 @@ def peel(p, j):
     return h, low
 
 
-def word_coords(w, abelian=False, sparse=False):
+def word_coords(w, abelian=False):
     """All abelianized derivatives of a word, as a list of polynomials;
-    with `sparse`, as a dict from the 0-based index of each generator the
-    word contains to its derivative; with `abelian`, the pair of its
-    exponent sums and those derivatives, from the same pass."""
-    return word_pass(w.letters, w.rank, abelian, sparse)
+    with `abelian`, the pair of its exponent sums and those derivatives,
+    from the same pass."""
+    return word_pass(w.letters, w.rank, abelian)
 
 
 def jacobian(phi):
@@ -77,28 +76,22 @@ def j_minus_i(phi):
 
 
 def chain_rule_coords(phi, cg):
-    """coords(g) (J - I) for the sparse derivatives cg of a word g
-    (`word_coords(g, sparse=True)`): by the Fox chain rule, the
-    coordinates of phi(g) g^-1 when phi is IA.  Row k of J enters only
-    through cg[k], so only the rows of the generators in g are formed,
-    each from a sparse pass over its image, and the work follows those
-    images and not n^2."""
-    n = phi.rank
-    columns = {}
-    for k, c in cg.items():
-        if not c:
-            continue
-        row = word_coords(phi.images[k], sparse=True)
-        # row k of J - I; x_k occurs in its IA image
+    """coords(g) (J - I) for the derivatives cg of a word g
+    (`word_coords(g)`): by the Fox chain rule, the coordinates of
+    phi(g) g^-1 when phi is IA.  Row k of J - I enters only through
+    cg[k], so only the rows of the generators g contains are formed, each
+    from one pass over its image, and `vec_mul` takes the product over
+    those rows: the work follows those images and not n^2."""
+    live = [k for k, c in enumerate(cg) if c]
+    if not live:
+        return [LaurentPoly.zero(phi.rank)] * phi.rank
+    rows = []
+    for k in live:
+        row = word_coords(phi.images[k])
+        # row k of J - I
         row[k] -= 1
-        for j, d in row.items():
-            if d:
-                columns.setdefault(j, []).append((1, c, d))
-    zero = LaurentPoly.zero(n)
-    return [
-        LaurentPoly.sum_products(n, columns[j]) if j in columns else zero
-        for j in range(n)
-    ]
+        rows.append(row)
+    return LaurentMatrix(phi.rank, rows).vec_mul([cg[k] for k in live])
 
 
 def product_rule_holds(phi, psi):

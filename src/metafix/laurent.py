@@ -178,17 +178,14 @@ def _sum_products(triples, n):
     return out
 
 
-def word_pass(letters, n, abelian=False, sparse=False):
+def word_pass(letters, n, abelian=False):
     """One left-to-right pass computing all abelianized derivatives.
 
     `letters` is a sequence of signed 1-based generator indices.  The
-    pass has one set-up, and `sparse` chooses only how its result is
-    packed: the list of the n derivative polynomials, or with `sparse`
-    the dict from the 0-based index of each generator the word contains
-    to its derivative.  With `abelian`, the pair of the word's exponent
-    sums and those derivatives.  The running abelianization of the prefix
-    is one key, moved by the generator's key step per letter, so the pass
-    ends with the word's exponent sums.
+    result is the list of the n derivative polynomials; with `abelian`,
+    the pair of the word's exponent sums and that list.  The running
+    abelianization of the prefix is one key, moved by the generator's key
+    step per letter, so the pass ends with the word's exponent sums.
     """
     # Partial exponent sums and degrees never exceed the word length.
     if len(letters) >= _H:
@@ -216,10 +213,7 @@ def word_pass(letters, n, abelian=False, sparse=False):
                 d[acc] = c
             else:
                 del d[acc]
-    if sparse:
-        coords = {L - 1: LaurentPoly._raw(n, coords[L - 1]) for L in set(map(abs, letters))}
-    else:
-        coords = [LaurentPoly._raw(n, d) for d in coords]
+    coords = [LaurentPoly._raw(n, d) for d in coords]
     return (_unpack(acc, n), coords) if abelian else coords
 
 

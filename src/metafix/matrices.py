@@ -43,15 +43,17 @@ class ExactDivisionError(InvariantError, ArithmeticError):
 class LaurentMatrix:
     """A matrix over the Laurent ring in `nvars` variables.
 
-    Nothing writes `entries` after `__init__`, so the determinant, the
-    elimination pivots and the left kernel basis are computed at most once
-    per instance and kept in the private slots.
+    Nothing writes `entries` after `__init__`, so the determinant and the
+    elimination pivots are computed at most once per instance and kept in
+    the private slots.  The left kernel basis is not kept here: its one
+    caller, `fixpoint.left_kernel`, keeps the checked basis on the
+    endomorphism.
     """
 
-    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_pivots", "_basis")
+    __slots__ = ("rows", "cols", "nvars", "entries", "_det", "_pivots")
 
     def __init__(self, nvars, entries):
-        self._det = self._pivots = self._basis = None
+        self._det = self._pivots = None
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
@@ -202,10 +204,8 @@ class LaurentMatrix:
         """A basis, over the fraction field, of the row vectors k with
         k M = 0: one `kernel_vector` per non-pivot row.  Vector i is the
         only one nonzero at non-pivot row i."""
-        if self._basis is None:
-            prows = self._elimination()[1]
-            self._basis = tuple(self.kernel_vector(i) for i in range(self.rows) if i not in prows)
-        return self._basis
+        prows = self._elimination()[1]
+        return tuple(self.kernel_vector(i) for i in range(self.rows) if i not in prows)
 
 
 def normalize_vector(z):

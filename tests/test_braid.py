@@ -312,7 +312,7 @@ def test_commutator_witness_agrees_with_the_detector():
         split[b.strands, top] += 1
         assert (witness is None) == top, b
         if top:
-            assert jmi._basis is None, b
+            assert phi._kernel is None, b
         assert (fixed_point_in_commutator(phi) is None) == top, b
     assert (split[3, True], split[3, False]) == (144, 115)
     assert all(split[n, True] and split[n, False] for n in (4, 5)), split

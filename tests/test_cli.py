@@ -190,10 +190,14 @@ def test_verify_reports_an_oracle_that_disagrees(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation: ")
 
 
-@pytest.mark.parametrize("word,fixed", [("x2^3", True), ("[x1,x2]", False)])
+@pytest.mark.parametrize(
+    "word,fixed",
+    [("x2^3", True), ("[x1,x2]", False), ("1", True), ("[[x1,x2], x2 [x1,x2] x2^-1]", True)],
+)
 def test_verify_of_a_non_ia_endomorphism_applies_it(monkeypatch, capsys, word, fixed):
     # [x1,x2] has exponent sums 0 and so has its difference word: only
-    # the coordinates show it is moved
+    # the coordinates show it is moved.  The identity word and the word
+    # in M'' are trivial, so `trivial_word` is true on this branch too
     path = data_path("doubling.endo")
     with open(path) as fh:
         phi = parse_endomorphism(fh.read())
@@ -207,9 +211,9 @@ def test_verify_of_a_non_ia_endomorphism_applies_it(monkeypatch, capsys, word, f
 @pytest.mark.parametrize("word,fixed", [("x1 x2^-1", False), ("x3^2 x128", True)])
 def test_verify_forms_only_the_rows_of_the_word_s_generators(monkeypatch, tmp_path, capsys, word, fixed):
     # as many generators as a file may have: verify builds no Jacobian
-    # and makes one sparse pass over the word and one over each image it
-    # needs; only the oracle's confirmation of a fixed word makes a full
-    # pass
+    # and makes one pass over the word and one over the image of each of
+    # its generators; only the oracle's confirmation of a fixed word
+    # makes one more, over phi(g) g^-1
     n = cli.MAX_STRANDS
     f = tmp_path / "wide.endo"
     f.write_text("x1 -> x1 [x2,x3]\n" + "".join(f"x{k} -> x{k}\n" for k in range(2, n + 1)))
@@ -226,16 +230,19 @@ def test_verify_forms_only_the_rows_of_the_word_s_generators(monkeypatch, tmp_pa
     passes = []
     word_pass = fox.word_pass
 
-    def counted(letters, nvars, abelian=False, sparse=False):
-        passes.append(sparse)
-        return word_pass(letters, nvars, abelian, sparse)
+    def counted(letters, nvars, abelian=False):
+        passes.append(tuple(letters))
+        return word_pass(letters, nvars, abelian)
 
     monkeypatch.setattr(fox, "word_pass", counted)
     rep = run_json(capsys, "verify", str(f), word, "--json")
     assert (rep["fixed"], rep["difference_coords"]) == reference
     assert rep["fixed"] is fixed and rep["trivial_word"] is False
-    # the word, then the image of each of its generators
-    assert passes == [True] * 3 + [False] * fixed
+    # the word, then the image of each of its generators, then the oracle's
+    # pass over the difference word
+    images = [phi.images[k].letters for k in sorted({abs(L) - 1 for L in g.letters})]
+    oracle = [(phi.apply(g) * g.inverse()).letters] if fixed else []
+    assert passes == [g.letters] + images + oracle
 
 
 def test_braid_command(capsys):

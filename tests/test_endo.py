@@ -127,6 +127,30 @@ def test_left_sides_drop_leading_zeros_and_cap_their_digits():
         parse_endomorphism(f"x1 -> x1\nx2 -> x2 x{'1' * 5000}\n")
 
 
+# every break of `str.splitlines` that is not LF, CR LF or CR
+OTHER_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def analyze_json(capsys, path):
+    assert main(["analyze", str(path), "--bound", "1", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    del rep["timing"], rep["input"]["file"]
+    return rep
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_a_line_break_inside_a_comment_stays_in_the_comment(tmp_path, capsys, brk):
+    plain = tmp_path / "plain.endo"
+    plain.write_text("x1 -> x1 [x2,x1]  # see note which wraps\nx2 -> x2\n", encoding="utf-8")
+    broken = tmp_path / "broken.endo"
+    broken.write_text(f"x1 -> x1 [x2,x1]  # see note{brk}which wraps\nx2 -> x2\n", encoding="utf-8")
+    assert analyze_json(capsys, broken) == analyze_json(capsys, plain)
+    # a bad line after such a comment is reported under its own number
+    for end in ("\n", "\r\n", "\r"):
+        with pytest.raises(WordError, match=r"^line 3: expected 'xI -> word'$"):
+            parse_endomorphism(f"x1 -> x1  # a{brk}b{end}x2 -> x2{end}bogus{end}")
+
+
 def test_left_sides_read_ascii_digits_only():
     with pytest.raises(WordError) as info:
         parse_endomorphism("x1 -> x1\nx١ -> x2\n")

@@ -816,6 +816,28 @@ def test_the_rank_defect_class_comes_from_the_kernel_basis_size():
     assert rep.witness_in_commutator is not None and rep.rank_defect_class == "rank=n-1"
 
 
+def test_the_kernel_basis_is_built_once_per_endomorphism(monkeypatch):
+    # only phi keeps the kernel basis, so two searches and a commutator
+    # query on one phi build each of its vectors once
+    built = []
+    kernel_vector = LaurentMatrix.kernel_vector
+
+    def counted(m, row):
+        built.append(row)
+        return kernel_vector(m, row)
+
+    monkeypatch.setattr(LaurentMatrix, "kernel_vector", counted)
+    rng = random.Random(29)
+    phis = _fixtures() + [random_rank_deficient_ia(rng, n) for n in (2, 3, 4)]
+    for phi in phis:
+        built.clear()
+        search_fixed(phi, 1)
+        search_fixed(phi, 1)
+        fixed_point_in_commutator(phi)
+        basis, _ = left_kernel(phi)
+        assert len(built) == len(set(built)) == len(basis), phi
+
+
 def test_an_empty_kernel_basis_is_an_internal_error(monkeypatch, infinite_fix, capsys):
     # J - I of an IA input has rank at most n - 1, so its kernel basis is
     # never empty; every entry to the kernel analysis checks that once

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metafix.endo import Endomorphism, inner_automorphism
 from metafix.fox import (
+    chain_rule_coords,
     jacobian,
     membership,
     membership_row,
@@ -146,6 +147,33 @@ def test_chain_rule_on_ia_images(case):
     phi = Endomorphism(ys)
     w = Word(n, letters)
     assert word_coords(phi.apply(w)) == jacobian(phi).vec_mul(word_coords(w))
+
+
+def test_chain_rule_coords_are_the_difference_word_s():
+    # coords(g) (J - I), formed from the rows of g's generators only, is
+    # the Fox pass of phi(g) g^-1, also for words that leave generators
+    # out, for the identity word and for a word in M'', whose derivatives
+    # all vanish, so that no row is formed
+    rng = random.Random(29)
+    for trial in range(60):
+        n = 1 + trial % 6
+        if n == 1:
+            phi = Endomorphism.identity(1)
+        else:
+            phi = random_ia(rng, n, skip_chance=rng.choice((0.0, 0.5)))
+        used = rng.sample(range(1, n + 1), rng.randrange(1, n + 1))
+        words = [
+            Word.identity(n),
+            random_word(rng, n, rng.randrange(12)),
+            Word(n, [rng.choice(used) * rng.choice((1, -1)) for _ in range(rng.randrange(1, 20))]),
+        ]
+        if n >= 2:
+            m2 = parse_word("[[x1,x2], x2 [x1,x2] x2^-1]", n)
+            assert not any(word_coords(m2))
+            words.append(m2)
+        for g in words:
+            want = word_coords(phi.apply(g) * g.inverse())
+            assert chain_rule_coords(phi, word_coords(g)) == want, (phi, g)
 
 
 def test_det_vanishes_for_ia():

@@ -675,32 +675,3 @@ def test_normalizer_of_a_unit_at_the_field_edge_raises_as_its_inverse_does():
             unit ** -1
         with pytest.raises(ExponentOverflowError):
             p.normalizer()
-
-
-def _words_that_leave_out_generators():
-    """(n, letters) on 1-6 generators, the letters drawn from a proper
-    subset of them, so at least one generator is missing."""
-
-    def words(n, used):
-        alphabet = sorted(used) + [-i for i in sorted(used)]
-        if not alphabet:
-            return st.tuples(st.just(n), st.just([]))
-        return st.tuples(st.just(n), st.lists(st.sampled_from(alphabet), max_size=60))
-
-    return st.integers(1, 6).flatmap(
-        lambda n: st.sets(st.integers(1, n), max_size=n - 1).flatmap(lambda used: words(n, used))
-    )
-
-
-@given(_words_that_leave_out_generators())
-def test_sparse_word_pass_is_the_dense_one_packed_by_generator(case):
-    n, letters = case
-    dense = word_pass(letters, n)
-    sparse = word_pass(letters, n, sparse=True)
-    assert set(sparse) == {abs(L) - 1 for L in letters}
-    for i, p in enumerate(dense):
-        assert sparse[i] == p if i in sparse else p.is_zero()
-    sums, dense_coords = word_pass(letters, n, abelian=True)
-    sparse_sums, sparse_coords = word_pass(letters, n, abelian=True, sparse=True)
-    assert sums == sparse_sums
-    assert dense_coords == dense and sparse_coords == sparse
