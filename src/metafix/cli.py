@@ -28,7 +28,7 @@ from .braid import (
 from .endo import MAX_GENERATORS, parse_endomorphism
 from .errors import InvariantError
 from .fixpoint import InternalCheckError, is_fixed, search_fixed
-from .fox import chain_rule_coords, j_minus_i, jacobian, word_coords
+from .fox import chain_rule_coords, j_minus_i, jacobian
 from .laurent import poly_to_text
 from .magnus import MagnusElement
 from .words import WordError, parse_digits, parse_word, word_to_text
@@ -200,30 +200,30 @@ def cmd_braid(args):
 def cmd_verify(args):
     phi = parse_endomorphism(_read(args.file))
     g = parse_word(args.word, phi.rank)
-    # one pass over g: its exponent sums and derivatives give
-    # `trivial_word`, the test `is_trivial` makes
-    sums, cg = word_coords(g, abelian=True)
-    trivial = not any(sums) and not any(cg)
-    if phi.is_ia():
+    # non-IA input builds its image before the one pass over g, so an
+    # image past the letter limit is rejected first
+    image = None if phi.is_ia() else phi.apply(g)
+    elem = MagnusElement.of_word(g)
+    if image is None:
         # the Fox chain rule: coords(phi(g) g^-1) = coords(g) (J - I) and
         # the exponent sums of phi(g) g^-1 vanish, so that pass and one
         # over the image of each generator g contains give the answer and
         # its coordinates, with no image word and no row of J for a
         # generator g lacks.  A fixed answer is confirmed by the oracle,
         # as a found witness is.
-        coords = chain_rule_coords(phi, cg)
+        coords = chain_rule_coords(phi, elem.coords)
         fixed = not any(coords)
         if fixed and not is_fixed(phi, g):
             raise InternalCheckError("the chain rule finds the word fixed, the oracle does not")
     else:
         # one oracle element of the difference word gives both the answer
         # and its coordinates
-        diff = MagnusElement.of_word(phi.apply(g) * g.inverse())
+        diff = MagnusElement.of_word(image * g.inverse())
         coords, fixed = diff.coords, diff.is_identity()
     report = {
         "input": {"file": args.file, "word": word_to_text(g)},
         "fixed": fixed,
-        "trivial_word": trivial,
+        "trivial_word": elem.is_identity(),
         "difference_coords": [poly_to_text(p) for p in coords],
     }
     _emit(report, args.json)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .words import MAX_LETTERS, Word, WordError, extend_reduced, parse_digits, parse_word, word_to_text
+from .words import MAX_LETTERS, Word, WordError, check_size, extend_reduced, parse_digits, parse_word, word_to_text
 
 
 # The longest left side that an error message quotes.
@@ -49,9 +49,9 @@ class Endomorphism:
 
         The running image and each letter's image are freely reduced, so
         letters cancel only where they join.  The running image is
-        measured after every letter, and WordError is raised as soon as
-        it passes MAX_LETTERS letters, so an image that stays within the
-        limit is never rejected."""
+        measured after every letter, and WordError, naming the length
+        reached, is raised once it passes MAX_LETTERS letters, so an
+        image that stays within the limit is never rejected."""
         table = self._table
         if table is None:
             table = self._table = {}
@@ -62,7 +62,7 @@ class Endomorphism:
         for L in w.letters:
             extend_reduced(out, table[L])
             if len(out) > MAX_LETTERS:
-                raise WordError(f"image of {len(w)} letters exceeds the limit of {MAX_LETTERS}")
+                check_size(len(out), "image")
         return Word._raw(self.rank, tuple(out))
 
     def compose(self, other):

@@ -4,7 +4,8 @@ An element is represented by its exponent-sum vector together with the
 vector of abelianized derivatives of any representing word.  Two words
 represent the same metabelian element exactly when these pairs agree, which
 makes equality here the independent oracle for every detector in the
-package.
+package.  Its one word-problem test is `MagnusElement.is_identity`, on
+the pair of one Fox pass; `is_trivial` and `metafix verify` use it.
 
 The commutator subgroup is abelian and carries the module action of the
 Laurent ring by conjugation: a monomial x^m acts as conjugation by any
@@ -63,7 +64,8 @@ class MagnusElement:
         )
 
     def is_identity(self):
-        return all(a == 0 for a in self.abelian) and all(u.is_zero() for u in self.coords)
+        """The word problem's one test: all sums and coordinates vanish."""
+        return not any(self.abelian) and not any(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, MagnusElement):
@@ -84,11 +86,8 @@ class MagnusElement:
 def is_trivial(w):
     """Word problem: does the word represent the metabelian identity?
 
-    A word with a nonzero exponent sum is not, and is answered without
-    the Fox pass; otherwise it is trivial iff every coordinate vanishes."""
-    if any(w.exponent_sums()):
-        return False
-    return not any(word_coords(w))
+    One Fox pass gives its pair, and `MagnusElement.is_identity` decides."""
+    return MagnusElement.of_word(w).is_identity()
 
 
 def coset_letters(exponents):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from metafix import endo
+from metafix import endo, magnus
 from metafix.braid import BraidWord, parse_braid
 from metafix.cli import main
 from metafix.endo import Endomorphism, inner_automorphism, parse_endomorphism
@@ -74,13 +74,27 @@ def test_image_past_the_letter_limit_is_rejected():
 
 def test_verify_rejects_an_image_past_the_letter_limit(tmp_path, capsys):
     # x1 -> [x1,x2]^512 x1 x1 is not IA, so verify builds the image of
-    # x1^1024, which passes the limit
+    # x1^1024, which passes the limit at its 512th letter, 512 * 2050
+    # letters long; the error gives that length
     f = tmp_path / "hostile.endo"
     f.write_text("x1 -> (x1 x2 x1^-1 x2^-1)^512 x1 x1\nx2 -> x2\n")
     code = main(["verify", str(f), "(x1)^1024"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err == f"error: image of 1024 letters exceeds the limit of {MAX_LETTERS}\n"
+    assert err == f"error: image of 1049600 letters exceeds the limit of {MAX_LETTERS}\n"
+
+
+def test_verify_rejects_a_non_ia_image_before_the_pass_over_the_word(monkeypatch, capsys):
+    # x1 -> x1 x1 is not IA: the image of x1^1000000 passes the limit at
+    # 1048578 letters, and verify rejects it before any Fox pass
+    def fail(*args, **kwargs):
+        raise AssertionError("verify ran a Fox pass before building the image")
+
+    monkeypatch.setattr(magnus, "word_coords", fail)
+    code = main(["verify", data_path("doubling.endo"), "x1^1000000"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: image of 1048578 letters exceeds the limit of {MAX_LETTERS}\n"
 
 
 def test_verify_answers_an_ia_word_whose_image_passes_the_limit(monkeypatch, tmp_path, capsys):

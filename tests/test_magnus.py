@@ -187,20 +187,26 @@ def test_failed_peeling_division_is_an_invariant_error(monkeypatch):
         koszul_decompose(u)
 
 
-def test_is_trivial_runs_no_fox_pass_on_nonzero_exponent_sums(monkeypatch):
+def test_is_trivial_makes_one_fox_pass(monkeypatch):
     passes = []
 
-    def counted(w):
+    def counted(w, abelian=False):
         passes.append(w)
-        return word_coords(w)
+        return word_coords(w, abelian)
 
     monkeypatch.setattr(magnus, "word_coords", counted)
-    for text in ("x1", "x1^2 x2^-1", "[x1,x2] x3", "[[x1,x2],[x1,x3]] x2^-5"):
-        assert not is_trivial(parse_word(text, 3))
-    assert passes == []
-    assert is_trivial(parse_word("[[x1,x2],[x1,x3]]", 3))
-    assert not is_trivial(parse_word("[x1,x2]", 3))
-    assert len(passes) == 2
+    for text, trivial in (
+        ("x1", False),
+        ("x1^2 x2^-1", False),
+        ("[x1,x2] x3", False),
+        ("[[x1,x2],[x1,x3]] x2^-5", False),
+        ("[[x1,x2],[x1,x3]]", True),
+        ("[x1,x2]", False),
+    ):
+        passes.clear()
+        w = parse_word(text, 3)
+        assert is_trivial(w) is trivial, text
+        assert passes == [w], text
 
 
 def ref_module_power_word(r, u):
