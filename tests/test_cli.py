@@ -273,7 +273,7 @@ def test_braid_report_follows_alexander_vanishes(monkeypatch, capsys):
         assert rep["alexander_vanishes"] is not vanishes
         assert (rep["commutator_witness"] is not None) is vanishes
         assert rep["bridge_consistent"] is False
-        assert disagreement in rep["findings"]
+        assert rep["findings"] == [disagreement]
 
 
 def test_main_repeats_after_a_usage_error(capsys):

@@ -37,7 +37,7 @@ from metafix.samples import (
     random_rank_deficient_ia,
     random_word,
 )
-from metafix.words import Word, parse_word
+from metafix.words import Word, parse_word, word_to_text
 from tests.conftest import data_path
 from tests.test_acceptance import _is_unit_multiple, conjugates_fixed, found_any
 from tests.test_laurent import ref_width
@@ -583,6 +583,29 @@ def test_every_found_off_the_unique_route_passes_is_fixed(monkeypatch):
                 assert (out.witness.letters, True) in checked, (phi, a)
                 found[solver.mode] += 1
     assert min(found.values()) >= 10, found
+
+
+def test_an_undecided_coset_takes_the_inverse_witness_of_its_negation(monkeypatch):
+    # Fix(phi) is a subgroup: on rank_deficient.endo the solver finds
+    # coset (1, 0, -1) alone, and the search inverts its witness for
+    # (-1, 0, 1), which passes the oracle like every witness; it reads
+    # coset -a at the mirror index of a
+    for n, bound in ((1, 3), (2, 2), (3, 1)):
+        box = coset_box(n, bound)
+        assert [tuple(-e for e in a) for a in box] == box[::-1]
+    with open(data_path("rank_deficient.endo")) as fh:
+        phi = parse_endomorphism(fh.read())
+    solver = CosetSolver(phi)
+    assert solver.solve((1, 0, -1)).status == "found"
+    assert solver.solve((-1, 0, 1)).status == "undecided"
+    cosets = {c.exponents: c for c in search_fixed(phi, 1).cosets}
+    g = cosets[(1, 0, -1)].witness
+    assert cosets[(-1, 0, 1)] == CosetOutcome((-1, 0, 1), "found", g.inverse())
+    assert word_to_text(g.inverse()) == "x3 x1^-1"
+    # every inverted witness is re-checked
+    monkeypatch.setattr(fixpoint, "is_fixed", lambda phi, w: w != g.inverse() and is_fixed(phi, w))
+    with pytest.raises(InternalCheckError):
+        search_fixed(phi, 1)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from metafix.laurent import (
     _TEXT_CAP,
     _W,
     _check,
-    _mul_term,
     _origin,
     _pack,
     _piece_columns,
@@ -540,7 +539,9 @@ def ref_normal_form(p):
         raise ExponentOverflowError("degree")
     shift = origin - (((deg + _H) << (_W * n)) | low)
     sign = 1 if terms[max(terms)] > 0 else -1
-    return _mul_term(terms, shift, sign, n), shift, sign
+    out = {k + shift: v * sign for k, v in terms.items()}
+    _check(out, n)
+    return out, shift, sign
 
 
 def ref_divide_nonneg(g, f, n):
@@ -583,7 +584,10 @@ def ref_divide_exact(g, d):
     q = ref_divide_nonneg(gterms, fterms, n)
     if q is None:
         return None
-    return LaurentPoly._raw(n, _mul_term(q, fshift - gshift, gsign * fsign, n))
+    shift, sign = fshift - gshift, gsign * fsign
+    out = {k + shift: v * sign for k, v in q.items()}
+    _check(out, n)
+    return LaurentPoly._raw(n, out)
 
 
 def outcome(f, *args):

@@ -132,6 +132,16 @@ def test_det_of_an_eliminated_singular_matrix_is_zero_without_expanding(monkeypa
     assert m.det() == 0
 
 
+def test_det_of_an_eliminated_full_rank_matrix_is_its_signed_last_pivot(monkeypatch):
+    rng = random.Random(51)
+    m = random_matrix(rng, 3, 3, 2)
+    expected = _det_cofactor(m.entries, 2)
+    assert not expected.is_zero()
+    assert m.rank() == 3
+    monkeypatch.setattr("metafix.matrices._det_cofactor", lambda *a: 1 / 0)
+    assert m.det() == expected
+
+
 def test_kernel_examples():
     m = LaurentMatrix(1, [[parse_poly("x1 - 1", 1)], [parse_poly("x1 - 1", 1)]])
     z = m.kernel_vector(1)

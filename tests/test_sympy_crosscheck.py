@@ -302,16 +302,16 @@ def referee_inputs():
 
 
 def test_coset_answers_match_module_membership():
-    # every `found` is a member and every `none` a non-member; Q-membership
-    # does not prove a Z-solution, so `undecided` is left unchecked
+    # every `found` is a member, and every `none` and every `undecided` a
+    # non-member: an `undecided` coset is provably `none`, the target of
+    # deciding the rank-deficient cosets
     seen = set()
     for phi in referee_inputs():
         solver = CosetSolver(phi)
         route = "zero ideal" if solver.ideal_is_zero else solver.mode
         member = coset_referee(phi)
         for c in search_fixed(phi, 1).cosets:
-            if c.status != "undecided":
-                assert member(c.exponents) == (c.status == "found"), (phi, c.exponents, c.status)
+            assert member(c.exponents) == (c.status == "found"), (phi, c.exponents, c.status)
             seen.add((route, c.status))
     assert {route for route, _ in seen} == {"unique", "decoupled", "rank_deficient", "zero ideal"}
     assert {("unique", "found"), ("unique", "none"), ("decoupled", "found"),
