@@ -51,11 +51,10 @@ def peel(p, j):
     return h, low
 
 
-def word_coords(w, abelian=False):
-    """All abelianized derivatives of a word, as a list of polynomials;
-    with `abelian`, the pair of its exponent sums and those derivatives,
-    from the same pass."""
-    return word_pass(w.letters, w.rank, abelian)
+def word_coords(w):
+    """All abelianized derivatives of a word, as a list of polynomials.
+    Their coefficient sums are the word's exponent sums."""
+    return word_pass(w.letters, w.rank)
 
 
 def jacobian(phi):

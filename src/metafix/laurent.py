@@ -160,14 +160,13 @@ def _sum_products(triples, n):
     return out
 
 
-def word_pass(letters, n, abelian=False):
+def word_pass(letters, n):
     """One left-to-right pass computing all abelianized derivatives.
 
     `letters` is a sequence of signed 1-based generator indices.  The
-    result is the list of the n derivative polynomials; with `abelian`,
-    the pair of the word's exponent sums and that list.  The running
-    abelianization of the prefix is one key, moved by the generator's key
-    step per letter, so the pass ends with the word's exponent sums.
+    result is the list of the n derivative polynomials, whose values at
+    x = 1 are the word's exponent sums.  The running abelianization of the
+    prefix is one key, moved by the generator's key step per letter.
     """
     # Partial exponent sums and degrees never exceed the word length.
     if len(letters) >= _H:
@@ -195,8 +194,7 @@ def word_pass(letters, n, abelian=False):
                 d[acc] = c
             else:
                 del d[acc]
-    coords = [LaurentPoly._raw(n, d) for d in coords]
-    return (_unpack(acc, n), coords) if abelian else coords
+    return [LaurentPoly._raw(n, d) for d in coords]
 
 
 @lru_cache(maxsize=64)
@@ -688,9 +686,9 @@ def parse_poly(text, nvars):
                 # the first character: a token may be a long run of digits
                 fail(f"unexpected token {tok[0]!r}", at)
             if pos < len(tokens) and tokens[pos][0] == "*":
+                if pos + 1 >= len(tokens):
+                    fail("dangling '*'", tokens[pos][1])
                 pos += 1
-                if pos >= len(tokens):
-                    fail("dangling '*'", at)
                 continue
             break
         if not -_H <= sum(expts) < _H:

@@ -1,11 +1,13 @@
 """Normal forms in the free metabelian group and its commutator subgroup.
 
-An element is represented by its exponent-sum vector together with the
-vector of abelianized derivatives of any representing word.  Two words
-represent the same metabelian element exactly when these pairs agree, which
-makes equality here the independent oracle for every detector in the
-package.  Its one word-problem test is `MagnusElement.is_identity`, on
-the pair of one Fox pass; `is_trivial` and `metafix verify` use it.
+An element is represented by the vector of abelianized derivatives of
+any representing word.  Fox's fundamental formula
+sum_i d_i(w) (x_i - 1) = x^a - 1 makes the exponent sums a the
+derivatives' values at x = 1, so two words represent the same metabelian
+element exactly when these vectors agree, which makes equality here the
+independent oracle for every detector in the package.  Its one
+word-problem test is `MagnusElement.is_identity`, on the coordinates of
+one Fox pass; `is_trivial` and `metafix verify` use it.
 
 The commutator subgroup is abelian and carries the module action of the
 Laurent ring by conjugation: a monomial x^m acts as conjugation by any
@@ -24,24 +26,24 @@ from .words import Word, check_size, extend_reduced
 
 
 class MagnusElement:
-    """Pair (exponent sums, derivative coordinates) of a metabelian element."""
+    """The derivative coordinates of a metabelian element."""
 
-    __slots__ = ("rank", "abelian", "coords")
+    __slots__ = ("rank", "coords")
 
-    def __init__(self, rank, abelian, coords):
-        self.rank = rank
-        self.abelian = tuple(abelian)
+    def __init__(self, coords):
         self.coords = tuple(coords)
-        if len(self.abelian) != rank or len(self.coords) != rank:
-            raise ValueError("component count must equal the rank")
+        self.rank = len(self.coords)
 
     @classmethod
     def of_word(cls, w):
-        """The pair of a word, both parts from one Fox pass."""
-        return cls(w.rank, *word_coords(w, abelian=True))
+        """The coordinates of a word, from one Fox pass."""
+        return cls(word_coords(w))
 
     def _mono(self, sign=1):
-        return LaurentPoly.monomial(tuple(sign * a for a in self.abelian), self.rank)
+        # the exponent sums are the coordinates' values at x = 1
+        return LaurentPoly.monomial(
+            tuple(sign * sum(c.terms.values()) for c in self.coords), self.rank
+        )
 
     def __mul__(self, other):
         if not isinstance(other, MagnusElement):
@@ -49,44 +51,33 @@ class MagnusElement:
         if self.rank != other.rank:
             raise ValueError("elements of different ranks")
         xa = self._mono()
-        return MagnusElement(
-            self.rank,
-            tuple(a + b for a, b in zip(self.abelian, other.abelian)),
-            tuple(u + xa * v for u, v in zip(self.coords, other.coords)),
-        )
+        return MagnusElement(u + xa * v for u, v in zip(self.coords, other.coords))
 
     def inverse(self):
         xainv = self._mono(-1)
-        return MagnusElement(
-            self.rank,
-            tuple(-a for a in self.abelian),
-            tuple(-(xainv * u) for u in self.coords),
-        )
+        return MagnusElement(-(xainv * u) for u in self.coords)
 
     def is_identity(self):
-        """The word problem's one test: all sums and coordinates vanish."""
-        return not any(self.abelian) and not any(self.coords)
+        """The word problem's one test: every coordinate vanishes."""
+        return not any(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, MagnusElement):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.abelian == other.abelian
-            and self.coords == other.coords
-        )
+        return self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.rank, self.abelian, self.coords))
+        return hash(self.coords)
 
     def __repr__(self):
-        return f"MagnusElement(abelian={self.abelian}, coords={[str(c) for c in self.coords]})"
+        return f"MagnusElement({[str(c) for c in self.coords]})"
 
 
 def is_trivial(w):
     """Word problem: does the word represent the metabelian identity?
 
-    One Fox pass gives its pair, and `MagnusElement.is_identity` decides."""
+    One Fox pass gives its coordinates, and `MagnusElement.is_identity`
+    decides."""
     return MagnusElement.of_word(w).is_identity()
 
 

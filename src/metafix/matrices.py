@@ -277,11 +277,10 @@ def _det_cofactor(rows, nvars):
         return rows[0][0]
     rest = rows[1:]
     products = []
-    for j in range(n):
-        c = rows[0][j]
+    for j, c in enumerate(rows[0]):
         if c.is_zero():
             continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rest]
+        minor = [row[:j] + row[j + 1:] for row in rest]
         products.append((-1 if j % 2 else 1, c, _det_cofactor(minor, nvars)))
     return LaurentPoly.sum_products(nvars, products)
 

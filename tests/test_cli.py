@@ -232,9 +232,9 @@ def test_verify_forms_only_the_rows_of_the_word_s_generators(monkeypatch, tmp_pa
     passes = []
     word_pass = fox.word_pass
 
-    def counted(letters, nvars, abelian=False):
+    def counted(letters, nvars):
         passes.append(tuple(letters))
-        return word_pass(letters, nvars, abelian)
+        return word_pass(letters, nvars)
 
     monkeypatch.setattr(fox, "word_pass", counted)
     rep = run_json(capsys, "verify", str(f), word, "--json")
@@ -645,9 +645,9 @@ def record_image_passes(monkeypatch):
     word each time it builds J, and none when it returns the kept J."""
     passes = []
 
-    def recording(w, abelian=False, _word_coords=fox.word_coords):
+    def recording(w, _word_coords=fox.word_coords):
         passes.append(w)
-        return _word_coords(w, abelian)
+        return _word_coords(w)
 
     monkeypatch.setattr(fox, "word_coords", recording)
     return passes

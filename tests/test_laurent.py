@@ -189,6 +189,8 @@ RUN = "1" * 5000  # digits: past the 4300 that int() converts
     ("x1^-", 2, "exponent needs digits"),
     ("x", 0, "unexpected token 'x'"),
     ("x²", 0, "unexpected token 'x'"),
+    ("x1*", 2, "dangling '*'"),
+    ("2*x1 *", 5, "dangling '*'"),
 ])
 def test_parse_errors_on_digits_int_rejects_carry_position(text, at, what):
     # only ASCII digits are digits: "²" is one to str.isdigit and "٣" to
@@ -431,10 +433,11 @@ def test_text_tables_stay_within_their_cap():
     st.just(n), st.lists(st.integers(-n, n).filter(bool), max_size=60))))
 def test_word_pass_matches_reference(case):
     n, letters = case
-    assert [p.exponent_terms() for p in word_pass(letters, n)] == ref_word_pass(letters, n)
-    sums, coords = word_pass(letters, n, abelian=True)
-    assert sums == tuple(letters.count(i) - letters.count(-i) for i in range(1, n + 1))
+    coords = word_pass(letters, n)
     assert [p.exponent_terms() for p in coords] == ref_word_pass(letters, n)
+    # each derivative's value at x = 1 is the word's exponent sum
+    assert [sum(p.terms.values()) for p in coords] == [
+        letters.count(i) - letters.count(-i) for i in range(1, n + 1)]
 
 
 def ref_width(terms, w):
