@@ -88,9 +88,6 @@ class BraidWord:
             self.strands, tuple((i, j, -s) for (i, j, s) in reversed(self.letters))
         )
 
-    def __len__(self):
-        return len(self.letters)
-
     def __eq__(self, other):
         if not isinstance(other, BraidWord):
             return NotImplemented

@@ -228,7 +228,7 @@ def cmd_selftest(args):
     # imported here: no other command runs the checks or their samplers
     from . import selfcheck
 
-    return 0 if selfcheck.run(args.seed) == 0 else 3
+    return 0 if selfcheck.run(_number(args.seed, "--seed")) == 0 else 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,7 +274,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = commands["selftest"] = sub.add_parser("selftest", help="run randomized invariant checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_selftest)
 
     return parser, commands

@@ -342,26 +342,6 @@ class LaurentPoly:
             maps.append((s, p.terms, q.terms))
         return cls._raw(nvars, _sum_products(maps, nvars))
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            u = self.as_unit()
-            if u is None:
-                raise ValueError("negative power of a non-unit")
-            c, m = u
-            return LaurentPoly.monomial(tuple(k * e for e in m), self.nvars, c if k % 2 else 1)
-        out = LaurentPoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return out
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -387,15 +367,6 @@ class LaurentPoly:
             if c is not None:
                 return hash(c)
         return hash((self.nvars, frozenset(terms.items())))
-
-    def as_unit(self):
-        """Return (coeff, mono) if the polynomial is +-x^m, else None."""
-        if len(self.terms) != 1:
-            return None
-        ((k, c),) = self.terms.items()
-        if c == 1 or c == -1:
-            return c, _unpack(k, self.nvars)
-        return None
 
     def content(self):
         """gcd of the coefficients; 0 for the zero polynomial."""

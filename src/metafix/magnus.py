@@ -39,23 +39,14 @@ class MagnusElement:
         """The coordinates of a word, from one Fox pass."""
         return cls(word_coords(w))
 
-    def _mono(self, sign=1):
-        # the exponent sums are the coordinates' values at x = 1
-        return LaurentPoly.monomial(
-            tuple(sign * sum(c.terms.values()) for c in self.coords), self.rank
-        )
-
     def __mul__(self, other):
         if not isinstance(other, MagnusElement):
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("elements of different ranks")
-        xa = self._mono()
+        # x^a for the exponent sums a, the coordinates' values at x = 1
+        xa = LaurentPoly.monomial(tuple(sum(c.terms.values()) for c in self.coords), self.rank)
         return MagnusElement(u + xa * v for u, v in zip(self.coords, other.coords))
-
-    def inverse(self):
-        xainv = self._mono(-1)
-        return MagnusElement(-(xainv * u) for u in self.coords)
 
     def is_identity(self):
         """The word problem's one test: every coordinate vanishes."""

@@ -162,7 +162,7 @@ def _is_unit_multiple(u, base):
         if q.is_zero():
             continue
         r = p.divide_exact(q)
-        if r is None or r.as_unit() is None:
+        if r is None or len(r.terms) != 1 or r.content() != 1:
             return False
         if ratio is None:
             ratio = r

@@ -237,15 +237,6 @@ def test_coefficients_are_unbounded_below_the_int_limit():
     )
 
 
-def test_power():
-    assert P("x1 + 1") ** 2 == P("x1^2 + 2*x1 + 1")
-    assert P("x1") ** -3 == P("x1^-3")
-    assert P("-x1*x2") ** -1 == P("-x1^-1*x2^-1")
-    assert P("x1 + 1") ** 0 == 1
-    with pytest.raises(ValueError):
-        P("x1 + 1") ** -1
-
-
 # -- the packed kernel against a tuple-keyed reference ----------------------
 
 
@@ -493,7 +484,7 @@ def test_field_overflow_raises():
     products = [
         (top, x1),
         (top + 1, x1 - 1),
-        (LaurentPoly.monomial((0, -_H), 2), x2**-1),
+        (LaurentPoly.monomial((0, -_H), 2), LaurentPoly.variable(1, 2, -1)),
         (half, LaurentPoly.monomial((0, _H // 2), 2)),  # only the degree overflows
     ]
     for p, q in products:
@@ -642,8 +633,8 @@ def test_dividend_spanning_the_field_range_raises():
     # would leave the field range, so the division raises, never None
     x1, x2 = LaurentPoly.variable(0, 2), LaurentPoly.variable(1, 2)
     d = x1 - 1
-    wide = (x1**2100000 + x1**-2100000) * d
-    deep = (LaurentPoly.monomial((_H // 2 - 1, _H // 2 - 1), 2) + (x1 * x2) ** -1) * d
+    wide = (LaurentPoly.variable(0, 2, 2100000) + LaurentPoly.variable(0, 2, -2100000)) * d
+    deep = (LaurentPoly.monomial((_H // 2 - 1, _H // 2 - 1), 2) + LaurentPoly.monomial((-1, -1), 2)) * d
     for g in (wide, deep):
         for divisor in (d, x2 + 3):
             with pytest.raises(ExponentOverflowError):
@@ -651,8 +642,9 @@ def test_dividend_spanning_the_field_range_raises():
             with pytest.raises(ExponentOverflowError):
                 g.divide_exact(divisor)
     # just inside the range the quotient comes back
-    g = (x1**2000000 + x1**-2000000) * d
-    assert g.divide_exact(d) == x1**2000000 + x1**-2000000
+    q = LaurentPoly.variable(0, 2, 2000000) + LaurentPoly.variable(0, 2, -2000000)
+    g = q * d
+    assert g.divide_exact(d) == q
     assert (g + 1).divide_exact(d) is None
 
 
@@ -664,7 +656,7 @@ def test_normalizer_and_primitive_times_match_normalized(case):
     p = LaurentPoly(n, a)
     poly, unit = p.normalized()
     assert p * p.normalizer() == poly
-    assert p.normalizer() == unit ** -1
+    assert unit * p.normalizer() == 1
     q = p.primitive_times(c)
     assert q * poly.content() == poly * c
     # the division form it carries is the one division computes afresh
@@ -679,6 +671,6 @@ def test_normalizer_of_a_unit_at_the_field_edge_raises_as_its_inverse_does():
         p = LaurentPoly.monomial(m, 2, -3) + LaurentPoly.monomial((m[0] + 1, m[1]), 2)
         poly, unit = p.normalized()
         with pytest.raises(ExponentOverflowError):
-            unit ** -1
+            LaurentPoly.one(2).divide_exact(unit)
         with pytest.raises(ExponentOverflowError):
             p.normalizer()

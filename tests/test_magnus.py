@@ -77,7 +77,7 @@ def test_group_structure():
         v = random_word(rng, n, rng.randrange(12))
         mu, mv = MagnusElement.of_word(u), MagnusElement.of_word(v)
         assert MagnusElement.of_word(u * v) == mu * mv
-        assert (mu * mu.inverse()).is_identity()
+        assert (mu * MagnusElement.of_word(u.inverse())).is_identity()
         assert MagnusElement.of_word(Word.identity(n)) * mu == mu
 
 

@@ -379,7 +379,7 @@ def ref_normalize_vector(z):
         z = [p.divide_exact(g) for p in z]
     lead = next(p for p in z if not p.is_zero())
     _, unit = lead.normalized()
-    return [p * unit ** (-1) for p in z]
+    return [p.divide_exact(unit) for p in z]
 
 
 def small_polys(n):
