@@ -135,13 +135,11 @@ def _sum_products(triples, n):
             continue
         if len(a) > len(b):
             a, b = b, a
-        # with one outer term the items are read once: no list needed
-        b_items = b.items() if len(a) == 1 else list(b.items())
         for ka, va in a.items():
             ka -= origin
             if s < 0:
                 va = -va
-            for kb, vb in b_items:
+            for kb, vb in b.items():
                 key = ka + kb
                 c = get(key)
                 if c is None:
@@ -676,9 +674,9 @@ def parse_poly(text, nvars):
 
 
 # The most entries a text table holds; a full table is cleared, so no
-# input grows one beyond this.  The coordinates of perfbench's 32
-# verify-long words, a few thousand letters each, fill 3,500 to 3,900
-# entries over all tables.
+# input grows one beyond this.  One pass over the coordinates of
+# perfbench's 32 verify-long words, a few thousand letters each, fills
+# 3,123 to 3,528 piece entries and 7 heads at seeds 0, 3 and 11.
 _TEXT_CAP = 1 << 14
 
 
@@ -726,18 +724,19 @@ def poly_to_text(p):
 
     The keys are sorted once.  Each term's head (" + c" or " - |c|") and
     each variable's piece come from text tables kept for the process,
-    each holding at most _TEXT_CAP entries, and the terms are joined
-    column by column with no Python loop per term.  Replacing " 1*" by
-    " " then drops unit coefficients (no other place holds that text),
-    and the first term loses its leading " + "."""
+    each holding at most _TEXT_CAP entries, and the pieces of every term
+    are joined once.  Replacing " 1*" by " " then drops unit coefficients
+    (no other place holds that text), and the first term loses its
+    leading " + "."""
     terms = p.terms
     if not terms:
         return "0"
-    keys = sorted(terms, reverse=True)
-    columns = [
-        map(table.__getitem__, map(mask.__and__, keys))
-        for mask, table in _piece_columns(p.nvars)
-    ]
-    heads = map(_HEADS.__getitem__, map(terms.__getitem__, keys))
-    text = "".join(map("".join, zip(heads, *columns))).replace(" 1*", " ")
+    columns = _piece_columns(p.nvars)
+    parts = []
+    append = parts.append
+    for k in sorted(terms, reverse=True):
+        append(_HEADS[terms[k]])
+        for mask, table in columns:
+            append(table[k & mask])
+    text = "".join(parts).replace(" 1*", " ")
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -302,6 +302,21 @@ def test_sum_products_matches_reference(case):
     assert LaurentPoly.sum_products(n, polys).exponent_terms() == expected
 
 
+@given(ranks.flatmap(lambda n: st.tuples(st.just(n), term_maps(n), term_maps(n))))
+def test_aliased_factors_match_reference(case):
+    # the product loops read both factors while they fill the result, so
+    # one object in both places, or in several triples, must still work
+    n, a, b = case
+    p, q = LaurentPoly(n, a), LaurentPoly(n, b)
+    assert (p * p).exponent_terms() == ref_mul(a, a)
+    assert LaurentPoly.sum_products(n, [(1, p, p), (-1, p, p)]) == 0
+    triples = [(1, p, p), (-1, p, q), (1, q, p), (-1, p, p), (1, q, q), (1, p, p)]
+    expected = {}
+    for s, x, y in triples:
+        expected = ref_add(expected, ref_mul(x.exponent_terms(), y.exponent_terms()), s)
+    assert LaurentPoly.sum_products(n, triples).exponent_terms() == expected
+
+
 def test_sum_products_rejects_bad_input():
     x1 = LaurentPoly.variable(0, 2)
     with pytest.raises(ValueError):
@@ -417,6 +432,12 @@ def test_text_tables_stay_within_their_cap():
     p = LaurentPoly(2, {(1, e - count // 2): e + 2 for e in range(count)})
     assert poly_to_text(p) == ref_poly_to_text(p)
     tables = [table for _, table in _piece_columns(2)] + [_HEADS]
+    assert all(0 < len(table) <= _TEXT_CAP for table in tables)
+    # and in four variables, each with more distinct exponents than one
+    # table holds, so every table is cleared in the middle of the call
+    p = LaurentPoly(4, {(e, -e, 2 * e, e - 7): e + 2 for e in range(-count // 2, count // 2)})
+    assert poly_to_text(p) == ref_poly_to_text(p)
+    tables = [table for _, table in _piece_columns(4)] + [_HEADS]
     assert all(0 < len(table) <= _TEXT_CAP for table in tables)
 
 
